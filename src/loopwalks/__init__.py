@@ -9,8 +9,9 @@ from .errors import (ConstraintViolation, DisconnectedInput, DuplicateEdge,
                      GraphBuildError, HypothesisNotMet, IndexOutOfRange,
                      InvalidLoopPlacement, InvalidSpec, LoopwalksError,
                      NegativeExponentUnsupported, NoConvergence,
-                     NotAPathOrCycle, ParseError, SelfPairInEdgeList,
-                     SizeLimitExceeded, UnsupportedFamily)
+                     NotAPathOrCycle, ParseError, SamplerExhausted,
+                     SelfPairInEdgeList, SizeLimitExceeded,
+                     UnsupportedFamily)
 from .families import FamilySpec, enumerate_all_graphs, generate
 from .graph_core import (AdjacencyMatrix, SelfLoopGraph, adjacency, build,
                          is_connected)

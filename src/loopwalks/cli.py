@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from itertools import combinations
 from pathlib import Path
 from typing import Sequence
 
 from . import spectral
-from .errors import LoopwalksError
+from .errors import LoopwalksError, SamplerExhausted
 from .families import FamilySpec, generate
 from .graph_core import SelfLoopGraph, is_connected
 from .graphio import load_graph, serialize_graph
@@ -75,8 +76,8 @@ def sample_connected_graphs(count: int, n_lo: int, n_hi: int,
     while len(out) < count:
         attempts += 1
         if attempts > 1000 * max(count, 1):
-            raise RuntimeError("sampler keeps producing disconnected graphs; "
-                               "raise the edge probability")
+            raise SamplerExhausted("sampler keeps producing disconnected graphs; "
+                                   "raise the edge probability")
         n = n_lo + rng.below(n_hi - n_lo + 1)
         edges = tuple(pair for pair in combinations(range(n), 2)
                       if rng.random() < edge_prob)
@@ -343,9 +344,12 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
     try:
-        return tuple(float(token) for token in text.strip().split(","))
+        values = tuple(float(token) for token in text.strip().split(","))
     except ValueError as exc:
         raise LoopwalksError(f"expected comma-separated numbers, got {text!r}") from exc
+    if not all(map(math.isfinite, values)):
+        raise LoopwalksError(f"expected finite numbers, got {text!r}")
+    return values
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -450,12 +454,19 @@ def _dispatch_verify(args: argparse.Namespace) -> int:
     for triple in rst:
         if len(triple) != 3:
             raise LoopwalksError(f"--rst expects three numbers, got {triple}")
+    _require(args.chain_depth >= 1,
+             f"--chain-depth must be >= 1, got {args.chain_depth}")
     labeled: list[tuple[str, SelfLoopGraph]] = []
     sampler_info = None
     if args.sample is not None:
+        _require(args.sample >= 1, f"--sample must be >= 1, got {args.sample}")
         bounds = _parse_int_list(args.n_range)
-        if len(bounds) != 2 or bounds[0] < 1 or bounds[0] > bounds[1]:
-            raise LoopwalksError(f"--n-range expects LO,HI, got {args.n_range!r}")
+        _require(len(bounds) == 2 and 2 <= bounds[0] <= bounds[1],
+                 f"--n-range expects LO,HI with 2 <= LO <= HI, got {args.n_range!r}")
+        _require(0.0 < args.edge_prob <= 1.0,
+                 f"--edge-prob must lie in (0, 1], got {args.edge_prob}")
+        _require(0.0 <= args.loop_prob <= 1.0,
+                 f"--loop-prob must lie in [0, 1], got {args.loop_prob}")
         graphs = sample_connected_graphs(args.sample, bounds[0], bounds[1],
                                          args.edge_prob, args.loop_prob,
                                          args.seed)

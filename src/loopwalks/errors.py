@@ -46,6 +46,10 @@ class NoConvergence(LoopwalksError, RuntimeError):
     """The eigensolver failed to converge; indicates a bug, not bad input."""
 
 
+class SamplerExhausted(LoopwalksError, RuntimeError):
+    """Rejection sampling found too few connected graphs within its budget."""
+
+
 class NegativeExponentUnsupported(LoopwalksError, ValueError):
     """Twisted moments are only defined here for exponents q >= 0."""
 

@@ -4,7 +4,7 @@ The eigensolver is a cyclic Jacobi iteration on the dense symmetric
 adjacency matrix: deterministic, dependency-free, and accurate far beyond
 the 1e-9 slack tolerance the bound records use.  Twisted moments are
 computed from the float spectrum while plain spectral moments come from
-exact integer matrix powers; the identities tying the two routes together
+exact integer traces of adjacency powers; the identities tying the two routes together
 act as the error detector.
 """
 

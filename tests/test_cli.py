@@ -229,6 +229,68 @@ def test_verify_rejects_bad_rst(capsys, tmp_path):
     assert main(["verify", str(path), "--rst", "1,2"]) == 2
 
 
+def _assert_input_error(capsys, argv, flag):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and flag in lines[0]
+
+
+@pytest.mark.parametrize("depth", ["0", "-3"])
+def test_verify_rejects_nonpositive_chain_depth(capsys, tmp_path, depth):
+    path = tmp_path / "g.txt"
+    path.write_text("n 2\ne 0 1\n")
+    _assert_input_error(capsys, ["verify", str(path), "--chain-depth", depth],
+                        "--chain-depth")
+    _assert_input_error(capsys, ["verify", "--sample", "3", "--chain-depth", depth],
+                        "--chain-depth")
+
+
+def test_moments_rejects_non_finite_exponents(k4_file, capsys):
+    _assert_input_error(capsys, ["moments", k4_file, "--q", "nan,inf"], "nan,inf")
+    _assert_input_error(capsys, ["moments", k4_file, "--q", "1,-inf"], "-inf")
+
+
+def test_verify_rejects_non_finite_rst(k4_file, capsys):
+    _assert_input_error(capsys, ["verify", k4_file, "--rst", "nan,0,2"], "nan")
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_verify_rejects_nonpositive_sample(capsys, count):
+    _assert_input_error(capsys, ["verify", "--sample", count], "--sample")
+
+
+@pytest.mark.parametrize("n_range", ["1,1", "1,4", "0,3"])
+def test_verify_rejects_n_range_below_two(capsys, n_range):
+    _assert_input_error(capsys, ["verify", "--sample", "2", "--n-range", n_range],
+                        "--n-range")
+
+
+@pytest.mark.parametrize("prob", ["0", "-0.5", "1.5", "nan"])
+def test_verify_rejects_edge_prob_outside_unit_interval(capsys, prob):
+    _assert_input_error(capsys, ["verify", "--sample", "2", "--edge-prob", prob],
+                        "--edge-prob")
+
+
+@pytest.mark.parametrize("prob", ["-0.1", "1.01", "nan"])
+def test_verify_rejects_loop_prob_outside_unit_interval(capsys, prob):
+    _assert_input_error(capsys, ["verify", "--sample", "2", "--loop-prob", prob],
+                        "--loop-prob")
+
+
+def test_verify_accepts_probability_end_points(capsys):
+    code, report = run_json(capsys, "verify", "--sample", "2", "--n-range", "2,3",
+                            "--edge-prob", "1", "--loop-prob", "0")
+    assert code == 0
+    assert report["summary"]["graphs"] == 2
+
+
+def test_verify_sampler_exhaustion_is_input_error(capsys):
+    _assert_input_error(capsys, ["verify", "--sample", "1", "--n-range", "6,6",
+                                 "--edge-prob", "1e-9"], "edge probability")
+
+
 def test_verify_exit_one_on_violation(monkeypatch, tmp_path, capsys):
     # force a falsified record through the counting path
     from loopwalks import spectral

@@ -75,6 +75,39 @@ def test_per_vertex_matches_power_diagonal():
             assert walks.per_vertex == matrix_power_diagonal(g, k)
 
 
+def _dense_power_diagonal(graph, k):
+    """Reference diagonal of A^k by plain dense integer products."""
+    n = graph.order
+    base = [[0] * n for _ in range(n)]
+    for u, v in graph.edges:
+        base[u][v] = base[v][u] = 1
+    for v in graph.loops:
+        base[v][v] = 1
+    power = base
+    for _ in range(k - 1):
+        power = [[sum(power[i][l] * base[l][j] for l in range(n)) for j in range(n)]
+                 for i in range(n)]
+    return tuple(power[i][i] for i in range(n))
+
+
+def test_power_diagonal_matches_dense_product():
+    rng = random.Random(41)
+    graphs = [build(1, []), build(1, [], [0]), build(7, []),
+              build(6, [], range(6)),
+              generate(FamilySpec.complete(5, loops=tuple(range(5)))),
+              generate(FamilySpec.petersen(loops=(1, 4)))]
+    for _ in range(120):
+        n = rng.randint(1, 12)
+        density = rng.random()
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        edges = [p for p in pairs if rng.random() < density]
+        loops = [v for v in range(n) if rng.random() < 0.5]
+        graphs.append(build(n, edges, loops))
+    for g in graphs:
+        for k in range(1, 10):
+            assert matrix_power_diagonal(g, k) == _dense_power_diagonal(g, k)
+
+
 def test_enumeration_size_guards():
     big = generate(FamilySpec.complete_bipartite(7, 7))
     with pytest.raises(SizeLimitExceeded):
