@@ -13,17 +13,22 @@ Subcommands::
 
 Reports are printed as JSON (default, deterministic: sorted keys, reals
 rounded to 12 significant digits) or as an aligned text table via
-``--format table``.  Exit status: 0 when every requested check holds,
-1 when a verified inequality or cross-check fails, 2 on input errors.
+``--format table``.  JSON is written in one rounding pass: each real is
+rounded as it is written, byte for byte what ``json.dumps(sort_keys=True,
+indent=2)`` gives on the rounded report, without first building a rounded
+copy.  Exit status: 0 when every requested check holds, 1 when a verified
+inequality or cross-check fails (closed forms within 1e-7, relative above
+magnitude 1), 2 on input errors.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import math
 import sys
 from itertools import combinations
+from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 from typing import Sequence
 
@@ -97,26 +102,72 @@ def _round_real(x: float) -> float:
     return float(f"{x:.12g}")
 
 
-def _prepare(obj):
-    """Round every real to 12 significant digits, recursively."""
-    if isinstance(obj, bool) or isinstance(obj, int) or obj is None:
-        return obj
-    if isinstance(obj, float):
-        return _round_real(obj)
-    if isinstance(obj, str):
-        return obj
-    if isinstance(obj, dict):
-        return {k: _prepare(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_prepare(v) for v in obj]
-    raise TypeError(f"cannot render {type(obj).__name__} in a report")
-
-
 def render_report(report: dict, fmt: str) -> str:
-    prepared = _prepare(report)
     if fmt == "json":
-        return json.dumps(prepared, sort_keys=True, indent=2) + "\n"
-    return _render_table(prepared)
+        return _json_text(report, 0, {}) + "\n"
+    return _render_table(report)
+
+
+@functools.cache
+def _level(depth: int, brackets: str) -> tuple[str, str, str]:
+    """The text before the first item, between items and after the last
+    item of a container at this depth; built once and shared by every
+    container written there."""
+    indent = "\n" + "  " * depth
+    return brackets[0] + indent + "  ", "," + indent + "  ", indent + brackets[1]
+
+
+def _real_text(x: float) -> str:
+    x = _round_real(x)
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _json_text(obj, depth: int, reals: dict[float, str]) -> str:
+    """What ``json.dumps(obj, sort_keys=True, indent=2)`` writes once every
+    real is rounded to 12 significant digits, written in a single pass.
+    ``reals`` caches the text of each real already written; bound records
+    repeat many of them."""
+    if isinstance(obj, float):
+        text = reals.get(obj)
+        if text is None:
+            text = reals[obj] = _real_text(obj)
+        return text
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if obj is None:
+        return "null"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        opening, separator, closing = _level(depth, "{}")
+        depth += 1
+        # keys must be strings: the encoder raises TypeError on any other
+        items = [_encode_str(key) + ": " + _json_text(obj[key], depth, reals)
+                 for key in sorted(obj)]
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        opening, separator, closing = _level(depth, "[]")
+        depth += 1
+        items = [_json_text(item, depth, reals) for item in obj]
+    else:
+        raise TypeError(f"cannot render {type(obj).__name__} in a report")
+    # one join per container, so a large report is copied once per level
+    items[0] = opening + items[0]
+    items[-1] += closing
+    return separator.join(items)
 
 
 def _render_table(report: dict) -> str:
@@ -127,8 +178,24 @@ def _render_table(report: dict) -> str:
 
 def _format_value(value) -> str:
     if isinstance(value, float):
-        return f"{value:.12g}"
-    return str(value)
+        return f"{_round_real(value):.12g}"
+    if isinstance(value, str):
+        return value
+    return _repr_value(value)
+
+
+def _repr_value(value) -> str:
+    """``repr`` of the value with every real rounded and tuples as lists."""
+    if isinstance(value, float):
+        return repr(_round_real(value))
+    if isinstance(value, (bool, int, str)) or value is None:
+        return repr(value)
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{key!r}: {_repr_value(item)}"
+                               for key, item in value.items()) + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(map(_repr_value, value)) + "]"
+    raise TypeError(f"cannot render {type(value).__name__} in a report")
 
 
 def _flatten(prefix: str, obj, lines: list[str]) -> None:
@@ -136,7 +203,7 @@ def _flatten(prefix: str, obj, lines: list[str]) -> None:
         for key in sorted(obj):
             path = f"{prefix}.{key}" if prefix else str(key)
             _flatten(path, obj[key], lines)
-    elif isinstance(obj, list):
+    elif isinstance(obj, (list, tuple)):
         if obj and all(isinstance(item, dict) for item in obj):
             for i, item in enumerate(obj):
                 _flatten(f"{prefix}[{i}]", item, lines)
@@ -184,8 +251,8 @@ def cmd_moments(graph: SelfLoopGraph, qs: Sequence[float]) -> tuple[dict, int]:
     report_data = spectral.moment_report(graph, qs=qs, spectrum=spec)
     m3_direct = spectral.twisted_moment(graph, 3.0, spectrum=spec)
     m4_direct = spectral.twisted_moment(graph, 4.0, spectrum=spec)
-    closed_ok = (abs(report_data.m3_closed - m3_direct) <= _CLOSED_FORM_TOL
-                 and abs(report_data.m4_closed - m4_direct) <= _CLOSED_FORM_TOL)
+    closed_ok = (_closed_form_agrees(report_data.m3_closed, m3_direct)
+                 and _closed_form_agrees(report_data.m4_closed, m4_direct))
     bounds = [record.as_dict() for record in report_data.bounds]
     report = {
         "graph": _graph_summary(graph),
@@ -209,6 +276,11 @@ def cmd_moments(graph: SelfLoopGraph, qs: Sequence[float]) -> tuple[dict, int]:
         report["warnings"] = warnings
     failed = (not closed_ok) or any(not record["holds"] for record in bounds)
     return report, 1 if failed else 0
+
+
+def _closed_form_agrees(closed: float, direct: float) -> bool:
+    """Agreement within 1e-7, relative once |direct| exceeds 1."""
+    return abs(closed - direct) <= _CLOSED_FORM_TOL * max(1.0, abs(direct))
 
 
 def cmd_census(graph: SelfLoopGraph) -> tuple[dict, int]:

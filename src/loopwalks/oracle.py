@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import SizeLimitExceeded
+from .errors import ConstraintViolation, SizeLimitExceeded
 from .graph_core import SelfLoopGraph
 
 _MAX_ENUM_K = 8
@@ -39,7 +39,7 @@ def enumerate_closed_walks(graph: SelfLoopGraph, k: int) -> WalkEnumeration:
     Guarded to k <= 8 and order <= 12; the cost is exponential in k.
     """
     if k < 0:
-        raise ValueError(f"walk length must be nonnegative, got {k}")
+        raise ConstraintViolation(f"walk length must be nonnegative, got {k}")
     if k > _MAX_ENUM_K or graph.order > _MAX_ENUM_ORDER:
         raise SizeLimitExceeded(
             f"enumeration guarded to k <= {_MAX_ENUM_K} and order <= {_MAX_ENUM_ORDER}; "
@@ -86,7 +86,7 @@ def _count_closed_from(moves: list[tuple[int, ...]], move_masks: list[int],
 def trace_power(graph: SelfLoopGraph, k: int) -> int:
     """Exact integer trace of the k-th power of the adjacency matrix."""
     if k < 0:
-        raise ValueError(f"power must be nonnegative, got {k}")
+        raise ConstraintViolation(f"power must be nonnegative, got {k}")
     if k == 0:
         return graph.order
     return sum(matrix_power_diagonal(graph, k))
@@ -103,7 +103,7 @@ def matrix_power_diagonal(graph: SelfLoopGraph, k: int) -> tuple[int, ...]:
     A^b costs one sparse step of n * (2m + sigma) additions.
     """
     if k < 1:
-        raise ValueError(f"power must be at least 1, got {k}")
+        raise ConstraintViolation(f"power must be at least 1, got {k}")
     n = graph.order
     if k == 1:
         looped = [0] * n

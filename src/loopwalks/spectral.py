@@ -6,12 +6,18 @@ the 1e-9 slack tolerance the bound records use.  Twisted moments are
 computed from the float spectrum while plain spectral moments come from
 exact integer traces of adjacency powers; the identities tying the two routes together
 act as the error detector.
+
+Each twisted moment M_q = sum |eigenvalue - center|^q is computed once per
+(spectrum, center, exponent): the ``Spectrum`` memoises the correctly
+rounded sums, so the energy, Cauchy-Schwarz, ratio-chain and energy
+lower-bound checks on one graph share them.  The center sigma/n is read
+from the graph itself, not from a trace.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import (ConstraintViolation, DisconnectedInput, HypothesisNotMet,
@@ -28,11 +34,27 @@ _CENTER_TIE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues sorted non-increasingly, plus solver diagnostics."""
+    """Eigenvalues sorted non-increasingly, plus solver diagnostics.
+
+    Twisted moments computed from it are memoised per (center, exponent);
+    the memo takes no part in comparison, hashing or repr.
+    """
 
     eigenvalues: tuple[float, ...]
     residual: float
     sweeps_used: int
+    _twisted_memo: dict[tuple[float, float], float] = field(
+        default_factory=dict, init=False, compare=False, repr=False)
+
+    def _twisted(self, center: float, q: float) -> float:
+        """Sum of |eigenvalue - center|^q, with 0^0 = 1, computed once."""
+        key = (center, q)
+        memo = self._twisted_memo
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = math.fsum(abs(lam - center) ** q
+                                          for lam in self.eigenvalues)
+        return value
 
 
 @dataclass(frozen=True)
@@ -133,9 +155,9 @@ def _resolve(graph: SelfLoopGraph, spectrum: Spectrum | None) -> Spectrum:
     return spectrum if spectrum is not None else eigenvalues(graph)
 
 
-def _deviations(graph: SelfLoopGraph, spectrum: Spectrum, k: int = 1) -> list[float]:
-    center = trace_power(graph, k) / graph.order
-    return [abs(lam - center) for lam in spectrum.eigenvalues]
+def _center(graph: SelfLoopGraph, k: int = 1) -> float:
+    """M_k / n; for k = 1 the trace of A is the loop count sigma."""
+    return (graph.sigma if k == 1 else trace_power(graph, k)) / graph.order
 
 
 def twisted_moment(graph: SelfLoopGraph, q: float, k: int = 1,
@@ -144,15 +166,13 @@ def twisted_moment(graph: SelfLoopGraph, q: float, k: int = 1,
     if q < 0:
         raise NegativeExponentUnsupported(f"exponent must be >= 0, got {q}")
     if k < 1:
-        raise ValueError(f"twisting moment index must be >= 1, got {k}")
-    devs = _deviations(graph, _resolve(graph, spectrum), k)
-    return math.fsum(d ** q for d in devs)
+        raise ConstraintViolation(f"twisting moment index must be >= 1, got {k}")
+    return _resolve(graph, spectrum)._twisted(_center(graph, k), q)
 
 
 def energy(graph: SelfLoopGraph, spectrum: Spectrum | None = None) -> float:
     """Sum of |eigenvalue - sigma/n| over the spectrum."""
-    devs = _deviations(graph, _resolve(graph, spectrum))
-    return math.fsum(devs)
+    return _resolve(graph, spectrum)._twisted(_center(graph), 1.0)
 
 
 # -- closed forms of the third and fourth twisted moments --------------
@@ -222,10 +242,11 @@ def verify_cauchy_schwarz(graph: SelfLoopGraph, p: float, q: float,
             f"exponents must be >= 0, got p={p}, q={q}")
     if p > q:
         raise ConstraintViolation(f"need p <= q, got p={p}, q={q}")
-    devs = _deviations(graph, _resolve(graph, spectrum))
-    mq = math.fsum(d ** q for d in devs)
-    m_2q2p = math.fsum(d ** (2 * q - 2 * p) for d in devs)
-    m_2p = math.fsum(d ** (2 * p) for d in devs)
+    spec = _resolve(graph, spectrum)
+    center = _center(graph)
+    mq = spec._twisted(center, q)
+    m_2q2p = spec._twisted(center, 2 * q - 2 * p)
+    m_2p = spec._twisted(center, 2 * p)
     return _le_record(f"cauchy_schwarz[p={p:g},q={q:g}]", mq * mq, m_2q2p * m_2p)
 
 
@@ -250,10 +271,11 @@ def verify_ratio_chain(graph: SelfLoopGraph, q_max: int,
     """Positivity of the twisted moments up to q_max and the monotone
     ratio chain M_1/M_0 <= M_2/M_1 <= ... (relative 1e-9 tolerance)."""
     if q_max < 1:
-        raise ValueError(f"chain depth must be >= 1, got {q_max}")
+        raise ConstraintViolation(f"chain depth must be >= 1, got {q_max}")
     _require_bound_hypotheses(graph)
-    devs = _deviations(graph, _resolve(graph, spectrum))
-    moments = [math.fsum(d ** i for d in devs) for i in range(q_max + 1)]
+    spec = _resolve(graph, spectrum)
+    center = _center(graph)
+    moments = [spec._twisted(center, i) for i in range(q_max + 1)]
     records = []
     for i, value in enumerate(moments):
         records.append(BoundRecord(
@@ -274,13 +296,16 @@ def energy_lower_bounds(graph: SelfLoopGraph,
     """Lower bounds on energy and on the third/fourth twisted moments,
     plus one record per caller-supplied (r, s, t) with 4r = s + t + 2."""
     _require_bound_hypotheses(graph)
-    devs = _deviations(graph, _resolve(graph, spectrum))
+    spec = _resolve(graph, spectrum)
+    center = _center(graph)
     n = graph.order
     m = graph.size
-    total_energy = math.fsum(devs)
-    m2 = math.fsum(d * d for d in devs)
-    m3 = math.fsum(d ** 3 for d in devs)
-    m4 = math.fsum(d ** 4 for d in devs)
+    total_energy = spec._twisted(center, 1.0)
+    # d * d is the correctly rounded square; d ** 2 goes through libm's pow
+    # and can differ in the last bit, so this sum stays outside the memo
+    m2 = math.fsum((lam - center) * (lam - center) for lam in spec.eigenvalues)
+    m3 = spec._twisted(center, 3)
+    m4 = spec._twisted(center, 4)
     records = [
         _ge_record("energy_lb_moments", total_energy, math.sqrt(m2 ** 3 / m4)),
         _ge_record("energy_lb_edge_density", total_energy, 4.0 * m / n),
@@ -295,9 +320,9 @@ def energy_lower_bounds(graph: SelfLoopGraph,
         if abs(4.0 * r - (s + t + 2.0)) > 1e-12:
             raise ConstraintViolation(
                 f"need 4r = s + t + 2, got r={r:g}, s={s:g}, t={t:g}")
-        mr = math.fsum(d ** r for d in devs)
-        ms = math.fsum(d ** s for d in devs)
-        mt = math.fsum(d ** t for d in devs)
+        mr = spec._twisted(center, r)
+        ms = spec._twisted(center, s)
+        mt = spec._twisted(center, t)
         records.append(_ge_record(
             f"energy_lb_rst[r={r:g},s={s:g},t={t:g}]",
             total_energy, mr * mr / math.sqrt(ms * mt)))

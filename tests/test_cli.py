@@ -140,6 +140,27 @@ def test_moments_hat_k22(tmp_path, capsys):
     assert all(b["holds"] for b in report["bounds"])
 
 
+@pytest.mark.parametrize("offset,expected", [(1e-12, 0), (1e-6, 1)])
+def test_moments_closed_form_tolerance_scales_with_magnitude(
+        monkeypatch, tmp_path, capsys, offset, expected):
+    # M_4 of K_30 with 15 loops is about 7.1e5: a relative 1e-12 offset of
+    # the direct value is rounding noise, a relative 1e-6 one is a failure
+    from loopwalks import spectral
+    direct = spectral.twisted_moment
+
+    def shifted(graph, q, k=1, spectrum=None):
+        return direct(graph, q, k, spectrum) * (1.0 + offset)
+
+    path = tmp_path / "k30.txt"
+    assert main(["generate", "--family", "complete", "--n", "30",
+                 "--loops", ",".join(map(str, range(15))), "-o", str(path)]) == 0
+    monkeypatch.setattr(spectral, "twisted_moment", shifted)
+    code, report = run_json(capsys, "moments", str(path))
+    assert report["moments"]["m4_direct"] > 7e5
+    assert report["moments"]["closed_forms_agree"] is (expected == 0)
+    assert code == expected
+
+
 def test_moments_disconnected_warns(tmp_path, capsys):
     path = tmp_path / "disc.txt"
     path.write_text("n 4\ne 0 1\ne 2 3\n")

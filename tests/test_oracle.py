@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from loopwalks import (FamilySpec, SizeLimitExceeded, build,
+from loopwalks import (FamilySpec, LoopwalksError, SizeLimitExceeded, build,
                        enumerate_closed_walks, generate, trace_power)
 from loopwalks.oracle import matrix_power_diagonal
 
@@ -123,6 +123,16 @@ def test_negative_arguments_rejected():
         enumerate_closed_walks(g, -1)
     with pytest.raises(ValueError):
         trace_power(g, -2)
+
+
+def test_caller_faults_raise_package_errors():
+    g = build(2, [(0, 1)])
+    with pytest.raises(LoopwalksError):
+        trace_power(g, -1)
+    with pytest.raises(LoopwalksError):
+        matrix_power_diagonal(g, 0)
+    with pytest.raises(LoopwalksError):
+        enumerate_closed_walks(g, -1)
 
 
 def test_trace_large_power_exact():

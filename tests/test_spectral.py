@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from loopwalks import (ConstraintViolation, DisconnectedInput, FamilySpec,
-                       HypothesisNotMet, NegativeExponentUnsupported, build,
-                       eigenvalues, energy, energy_lower_bounds,
-                       enumerate_all_graphs, generate, m3_closed_form,
-                       m4_closed_form, mcclelland_bound, moment_report,
-                       spectral_moment, twisted_moment, verify_cauchy_schwarz,
+                       HypothesisNotMet, LoopwalksError,
+                       NegativeExponentUnsupported, build, eigenvalues, energy,
+                       energy_lower_bounds, enumerate_all_graphs, generate,
+                       is_connected, m3_closed_form, m4_closed_form,
+                       mcclelland_bound, moment_report, spectral_moment,
+                       twisted_moment, verify_cauchy_schwarz,
                        verify_ratio_chain)
+from loopwalks.cli import _DEFAULT_CS_EXPONENTS, _DEFAULT_RST
 from loopwalks.spectral import _center_split, _m3_closed_with_j
 
 
@@ -138,6 +140,66 @@ def test_twisted_hat_bipartite(a, b):
 def test_twisted_rejects_negative_exponent(k4_three_loops):
     with pytest.raises(NegativeExponentUnsupported):
         twisted_moment(k4_three_loops, -1.0)
+
+
+def _fresh_twisted(spec, center, q):
+    return math.fsum(abs(lam - center) ** q for lam in spec.eigenvalues)
+
+
+def test_twisted_memo_matches_fresh_sums_for_verify_exponents():
+    exponents = set(range(9))
+    exponents.update(q for triple in _DEFAULT_RST for q in triple)
+    for p in _DEFAULT_CS_EXPONENTS:
+        for q in _DEFAULT_CS_EXPONENTS:
+            if p <= q:
+                exponents.update((q, 2 * q - 2 * p, 2 * p))
+    rng = random.Random(71)
+    checked = 0
+    while checked < 30:
+        g = _random_graph(rng, rng.randint(4, 10))
+        if g.size < 1 or not is_connected(g):
+            continue
+        checked += 1
+        spec = eigenvalues(g)
+        mcclelland_bound(g, spectrum=spec)
+        for p in _DEFAULT_CS_EXPONENTS:
+            for q in _DEFAULT_CS_EXPONENTS:
+                if p <= q:
+                    verify_cauchy_schwarz(g, p, q, spectrum=spec)
+        verify_ratio_chain(g, 8, spectrum=spec)
+        energy_lower_bounds(g, _DEFAULT_RST, spectrum=spec)
+        center = g.sigma / g.order
+        assert {key[1] for key in spec._twisted_memo} >= exponents
+        for (memo_center, q), value in spec._twisted_memo.items():
+            assert memo_center == center
+            assert value == _fresh_twisted(spec, center, q)
+        for q in exponents:
+            assert twisted_moment(g, q, spectrum=spec) == _fresh_twisted(spec, center, q)
+        assert energy(g, spectrum=spec) == math.fsum(
+            abs(lam - center) for lam in spec.eigenvalues)
+
+
+def test_twisted_memo_is_keyed_by_center():
+    looped = build(4, [(0, 1), (1, 2), (2, 3)], [0, 1])
+    other = build(4, [(0, 1), (1, 2), (2, 3)], [3])
+    spec = eigenvalues(looped)
+    first = twisted_moment(looped, 2.0, spectrum=spec)
+    assert first == _fresh_twisted(spec, 0.5, 2.0)
+    reused = twisted_moment(other, 2.0, spectrum=spec)
+    assert reused == _fresh_twisted(spec, 0.25, 2.0)
+    assert reused != first
+    assert energy(other, spectrum=spec) == _fresh_twisted(spec, 0.25, 1.0)
+    # the memo takes no part in equality, hashing or repr
+    assert spec == eigenvalues(looped)
+    assert hash(spec) == hash(eigenvalues(looped))
+    assert "memo" not in repr(spec)
+
+
+def test_caller_faults_raise_package_errors(k4_three_loops):
+    with pytest.raises(LoopwalksError):
+        verify_ratio_chain(k4_three_loops, 0)
+    with pytest.raises(LoopwalksError):
+        twisted_moment(k4_three_loops, 1.0, k=0)
 
 
 def test_twisted_higher_k_centering():
