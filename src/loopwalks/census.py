@@ -6,6 +6,13 @@ how many of their vertices carry loops, 4-cycles, and 4-cliques.  A 4-cycle
 whose vertex set induces a full 4-clique is booked under the clique count
 only; a 4-cycle on a 4-set inducing five edges (a diamond) still counts as
 a 4-cycle.  Total 4-cycles therefore decompose as c4_not_k4 + 3 * k4_count.
+
+4-cycles are counted by codegrees, not by scanning 4-sets: the cycles
+through v number sum over u != v of C(|N(u) & N(v)|, 2), which counts each
+4-clique on v three times, so c4_at[v] = through[v] - 3 * k4_at[v] once the
+4-cliques are listed by intersecting neighbor masks along each edge.  The
+cost is O(n^2) mask popcounts over the vertices of degree >= 2 plus the
+clique listing (O(m * d^2) for maximum degree d); edgeless graphs cost O(n).
 """
 
 from __future__ import annotations
@@ -14,16 +21,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .graph_core import SelfLoopGraph
-
-# The three distinct cyclic arrangements of four vertices (a, b, c, d),
-# each given by its four edge slots among the six pairs of the 4-set.
-_PAIR_INDEX = {(0, 1): 0, (0, 2): 1, (0, 3): 2, (1, 2): 3, (1, 3): 4, (2, 3): 5}
-_CYCLE_ARRANGEMENTS = (
-    ((0, 1), (1, 2), (2, 3), (0, 3)),   # a-b-c-d-a
-    ((0, 1), (1, 3), (2, 3), (0, 2)),   # a-b-d-c-a
-    ((0, 2), (1, 2), (1, 3), (0, 3)),   # a-c-b-d-a
-)
-_CYCLE_SLOTS = tuple(tuple(_PAIR_INDEX[p] for p in arr) for arr in _CYCLE_ARRANGEMENTS)
 
 
 @dataclass(frozen=True)
@@ -85,49 +82,48 @@ def loop_boundary(graph: SelfLoopGraph) -> tuple[tuple[int, ...], tuple[int, ...
 
 def triangle_census(graph: SelfLoopGraph) -> tuple[int, int, int, int]:
     """(total triangles, and those with exactly 1, 2, 3 looped vertices)."""
-    by_loops = _triangles_by_loops(graph)
+    _, by_loops = _triangles(graph)
     return sum(by_loops), by_loops[1], by_loops[2], by_loops[3]
 
 
 def triangle_census_per_vertex(graph: SelfLoopGraph) -> tuple[tuple[int, int, int, int], ...]:
     """Per vertex: triangles through it with 0, 1, 2, 3 looped vertices."""
-    n = graph.order
-    per_vertex = [[0, 0, 0, 0] for _ in range(n)]
-    masks = graph.neighbor_masks
-    loop_mask = graph.loop_mask
-    for u, v in graph.edges:
-        common = (masks[u] & masks[v]) >> (v + 1)
-        w = v + 1
-        while common:
-            if common & 1:
-                r = ((loop_mask >> u) & 1) + ((loop_mask >> v) & 1) + ((loop_mask >> w) & 1)
-                per_vertex[u][r] += 1
-                per_vertex[v][r] += 1
-                per_vertex[w][r] += 1
-            common >>= 1
-            w += 1
-    return tuple(tuple(row) for row in per_vertex)
+    rows, _ = _triangles(graph)
+    return tuple(tuple(rows[4 * v:4 * v + 4]) for v in range(graph.order))
 
 
-def _triangles_by_loops(graph: SelfLoopGraph) -> list[int]:
+def _triangles(graph: SelfLoopGraph) -> tuple[list[int], list[int]]:
+    """Triangles by number of looped vertices: per-vertex rows, flattened
+    (entry 4v + r counts those through v with r loops), and totals.
+
+    Each triangle u < v < w is listed once, from its edge (u, v), as a
+    common neighbor w above v.
+    """
+    rows = [0] * (4 * graph.order)
     by_loops = [0, 0, 0, 0]
     masks = graph.neighbor_masks
     loop_mask = graph.loop_mask
     for u, v in graph.edges:
         common = (masks[u] & masks[v]) >> (v + 1)
+        if not common:
+            continue
+        looped_uv = (loop_mask >> u & 1) + (loop_mask >> v & 1)
         w = v + 1
         while common:
             if common & 1:
-                r = ((loop_mask >> u) & 1) + ((loop_mask >> v) & 1) + ((loop_mask >> w) & 1)
+                r = looped_uv + (loop_mask >> w & 1)
                 by_loops[r] += 1
+                rows[4 * u + r] += 1
+                rows[4 * v + r] += 1
+                rows[4 * w + r] += 1
             common >>= 1
             w += 1
-    return by_loops
+    return rows, by_loops
 
 
 def four_cycle_census(graph: SelfLoopGraph) -> tuple[int, int]:
     """(4-cycles whose vertex set does not induce a 4-clique, 4-cliques)."""
-    c4_at, k4_at, c4, k4 = _four_cycles(graph)
+    _, _, c4, k4 = _four_cycles(graph)
     return c4, k4
 
 
@@ -138,34 +134,45 @@ def four_cycle_census_per_vertex(graph: SelfLoopGraph) -> tuple[tuple[int, ...],
 
 
 def _four_cycles(graph: SelfLoopGraph) -> tuple[list[int], list[int], int, int]:
+    """Per-vertex and total non-clique 4-cycles and 4-cliques, by codegrees.
+
+    A 4-cycle through v pairs v with its opposite vertex u and two of their
+    common neighbors, so through[v] = sum over u != v of C(codeg(u, v), 2)
+    counts every 4-cycle through v, including the three of each 4-clique.
+    4-cliques are listed by intersecting masks along each edge.
+    """
     n = graph.order
     masks = graph.neighbor_masks
-    c4_at = [0] * n
+    # Both ends of a codegree >= 2 have degree >= 2; skipping the other
+    # vertices makes an edgeless graph cost O(n).
+    hubs = [v for v in range(n) if masks[v] & (masks[v] - 1)]
+    through = [0] * n
+    for v, u in combinations(hubs, 2):
+        codegree = (masks[v] & masks[u]).bit_count()
+        if codegree > 1:
+            pairs = codegree * (codegree - 1) >> 1
+            through[v] += pairs
+            through[u] += pairs
     k4_at = [0] * n
-    c4_total = 0
     k4_total = 0
-    for quad in combinations(range(n), 4):
-        present = tuple(
-            (masks[quad[i]] >> quad[j]) & 1
-            for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-        )
-        edge_count = sum(present)
-        if edge_count < 4:
-            continue
-        if edge_count == 6:
-            k4_total += 1
-            for v in quad:
+    for v, w in graph.edges:
+        above_w = masks[v] & masks[w] & (-1 << (w + 1))
+        while above_w:
+            low = above_w & -above_w
+            x = low.bit_length() - 1
+            above_w ^= low
+            above_x = above_w & masks[x]
+            while above_x:
+                low = above_x & -above_x
+                y = low.bit_length() - 1
+                above_x ^= low
+                k4_total += 1
                 k4_at[v] += 1
-            continue
-        cycles = 0
-        for slots in _CYCLE_SLOTS:
-            if present[slots[0]] and present[slots[1]] and present[slots[2]] and present[slots[3]]:
-                cycles += 1
-        if cycles:
-            c4_total += cycles
-            for v in quad:
-                c4_at[v] += cycles
-    return c4_at, k4_at, c4_total, k4_total
+                k4_at[w] += 1
+                k4_at[x] += 1
+                k4_at[y] += 1
+    c4_at = [t - 3 * k for t, k in zip(through, k4_at)]
+    return c4_at, k4_at, sum(through) // 4 - 3 * k4_total, k4_total
 
 
 def subgraph_census(graph: SelfLoopGraph) -> SubgraphCensus:

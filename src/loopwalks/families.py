@@ -212,12 +212,12 @@ def enumerate_all_graphs(n: int, connected_only: bool = False) -> Iterator[SelfL
         raise SizeLimitExceeded(
             f"exhaustive enumeration guarded to n <= {_MAX_EXHAUSTIVE_ORDER}, got {n}")
     pairs = list(combinations(range(n), 2))
-    vertex_range = range(n)
+    loop_subsets = [tuple(v for v in range(n) if (loop_bits >> v) & 1)
+                    for loop_bits in range(1 << n)]
     for edge_bits in range(1 << len(pairs)):
         edges = tuple(pairs[i] for i in range(len(pairs)) if (edge_bits >> i) & 1)
         skeleton = SelfLoopGraph(order=n, edges=edges, loops=())
         if connected_only and not is_connected(skeleton):
             continue
-        for loop_bits in range(1 << n):
-            loops = tuple(v for v in vertex_range if (loop_bits >> v) & 1)
+        for loops in loop_subsets:
             yield SelfLoopGraph(order=n, edges=edges, loops=loops)

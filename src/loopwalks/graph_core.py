@@ -80,6 +80,26 @@ class SelfLoopGraph:
     def degrees(self) -> tuple[int, ...]:
         return tuple(len(a) for a in self.neighbors)
 
+    @cached_property
+    def connected(self) -> bool:
+        """Breadth-first reachability over proper edges; loops never matter."""
+        n = self.order
+        if n == 1:
+            return True
+        nbrs = self.neighbors
+        seen = bytearray(n)
+        seen[0] = 1
+        queue = deque((0,))
+        count = 1
+        while queue:
+            u = queue.popleft()
+            for w in nbrs[u]:
+                if not seen[w]:
+                    seen[w] = 1
+                    count += 1
+                    queue.append(w)
+        return count == n
+
 
 def build(order: int,
           edge_list: Iterable[Sequence[int]],
@@ -137,20 +157,6 @@ def adjacency(graph: SelfLoopGraph) -> AdjacencyMatrix:
 
 
 def is_connected(graph: SelfLoopGraph) -> bool:
-    """Breadth-first reachability over proper edges; loops never matter."""
-    n = graph.order
-    if n == 1:
-        return True
-    nbrs = graph.neighbors
-    seen = bytearray(n)
-    seen[0] = 1
-    queue = deque((0,))
-    count = 1
-    while queue:
-        u = queue.popleft()
-        for w in nbrs[u]:
-            if not seen[w]:
-                seen[w] = 1
-                count += 1
-                queue.append(w)
-    return count == n
+    """Whether every vertex is reachable over proper edges; the search runs
+    once per graph and is cached on it."""
+    return graph.connected

@@ -1,9 +1,13 @@
 """Independent ground truth for closed-walk counts.
 
 Two routes that share no logic with the census-based formulas: a naive
-depth-first enumeration of walk sequences, and exact integer traces of
-adjacency-matrix powers.  The enumeration is deliberately memoization-free
-so that it cannot inherit a bug from the formula path.
+enumeration of walk sequences, and exact integer traces of adjacency-matrix
+powers.  The enumeration is deliberately memoization-free so that it cannot
+inherit a bug from the formula path: from each start vertex it chains
+iterators over the move lists, so every walk prefix is one element of a
+C-level iterator, and counts the last vertices that step back to the start.
+There is no memo, popcount or aggregation of prefixes; the cost is the
+number of walks, exponential in k.
 
 The traces work on bit rows of the adjacency matrix, built here from the
 edge and loop lists (never from the census's neighbor masks), with the loop
@@ -15,6 +19,7 @@ one sparse step of O(n * (2m + sigma)) additions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import ConstraintViolation, SizeLimitExceeded
 from .graph_core import SelfLoopGraph
@@ -46,41 +51,24 @@ def enumerate_closed_walks(graph: SelfLoopGraph, k: int) -> WalkEnumeration:
             f"got k={k}, order={graph.order}")
 
     loop_set = graph.loop_set
-    moves: list[tuple[int, ...]] = []
-    for v in range(graph.order):
-        step = list(graph.neighbors[v])
-        if v in loop_set:
-            step.append(v)
-        moves.append(tuple(step))
-    move_masks = [0] * graph.order
-    for v, step in enumerate(moves):
-        for w in step:
-            move_masks[v] |= 1 << w
-
-    per_vertex = tuple(_count_closed_from(moves, move_masks, v0, k)
-                       for v0 in range(graph.order))
+    moves = [step + (v,) if v in loop_set else step
+             for v, step in enumerate(graph.neighbors)]
+    per_vertex = tuple(_count_closed_from(moves, v0, k) for v0 in range(graph.order))
     return WalkEnumeration(k=k, per_vertex=per_vertex, total=sum(per_vertex))
 
 
-def _count_closed_from(moves: list[tuple[int, ...]], move_masks: list[int],
-                       v0: int, k: int) -> int:
+def _count_closed_from(moves: list[tuple[int, ...]], v0: int, k: int) -> int:
     if k == 0:
         return 1
-    count = 0
-    bit = 1 << v0
-
-    def descend(v: int, remaining: int) -> None:
-        nonlocal count
-        if remaining == 1:
-            if move_masks[v] & bit:
-                count += 1
-            return
-        nxt = remaining - 1
-        for w in moves[v]:
-            descend(w, nxt)
-
-    descend(v0, k)
-    return count
+    if k == 1:
+        return int(v0 in moves[v0])
+    # After j rounds the frontier holds the vertex v_(j+1) of every walk
+    # prefix v0..v_(j+1), one element per prefix, repeats included.
+    closes = [v0 in step for step in moves]
+    frontier = moves[v0]
+    for _ in range(k - 2):
+        frontier = chain.from_iterable(map(moves.__getitem__, frontier))
+    return sum(map(closes.__getitem__, frontier))
 
 
 def trace_power(graph: SelfLoopGraph, k: int) -> int:

@@ -198,6 +198,62 @@ def test_four_cycles_per_vertex_sums():
         assert sum(k4_at) == 4 * k4
 
 
+# The quadruple scan the census used before codegree counting, kept as a
+# test-only reference: every 4-set a < b < c < d, its six pair slots, and
+# its three cyclic arrangements a-b-c-d, a-b-d-c and a-c-b-d.
+def _four_cycles_by_quadruple_scan(g):
+    masks = g.neighbor_masks
+    c4_at = [0] * g.order
+    k4_at = [0] * g.order
+    c4_total = k4_total = 0
+    for quad in combinations(range(g.order), 4):
+        a, b, c, d = quad
+        ab, ac, ad = masks[a] >> b & 1, masks[a] >> c & 1, masks[a] >> d & 1
+        bc, bd, cd = masks[b] >> c & 1, masks[b] >> d & 1, masks[c] >> d & 1
+        edge_count = ab + ac + ad + bc + bd + cd
+        if edge_count < 4:
+            continue
+        if edge_count == 6:
+            k4_total += 1
+            for v in quad:
+                k4_at[v] += 1
+            continue
+        cycles = ab & bc & cd & ad
+        cycles += ab & bd & cd & ac
+        cycles += ac & bc & bd & ad
+        c4_total += cycles
+        for v in quad:
+            c4_at[v] += cycles
+    return (c4_total, k4_total), (tuple(c4_at), tuple(k4_at))
+
+
+def test_four_cycles_match_quadruple_scan_on_every_skeleton_to_order_5():
+    for n in range(1, 6):
+        for g in enumerate_all_graphs(n):
+            if g.sigma == 0:
+                census, per_vertex = _four_cycles_by_quadruple_scan(g)
+                assert four_cycle_census(g) == census
+                assert four_cycle_census_per_vertex(g) == per_vertex
+
+
+def test_four_cycles_match_quadruple_scan_on_random_graphs():
+    rng = random.Random(47)
+    # 180 graphs of order 6..20 and one of each order 21..40 keep the
+    # O(n^4) reference quick; densities cycle through 0.1..0.9
+    orders = [6 + i % 15 for i in range(180)] + list(range(21, 41))
+    for i, n in enumerate(orders):
+        g = _random_graph(rng, n, edge_p=0.1 + 0.1 * (i % 9))
+        census, per_vertex = _four_cycles_by_quadruple_scan(g)
+        assert four_cycle_census(g) == census
+        assert four_cycle_census_per_vertex(g) == per_vertex
+
+
+def test_four_cycles_of_large_edgeless_graph():
+    g = build(3000, [])
+    assert four_cycle_census(g) == (0, 0)
+    assert four_cycle_census_per_vertex(g) == ((0,) * 3000, (0,) * 3000)
+
+
 # -- aggregate census ------------------------------------------------------
 
 

@@ -200,6 +200,18 @@ def test_census_edgeless(tmp_path, capsys):
     assert census["c4_not_k4"] == 0 and census["k4_count"] == 0
 
 
+def test_large_edgeless_graph_walks_and_census(tmp_path, capsys):
+    # the census is linear in the order on edgeless graphs
+    path = tmp_path / "empty3000.txt"
+    path.write_text("n 3000\n")
+    code, report = run_json(capsys, "walks", str(path), "--kmax", "1")
+    assert code == 0
+    assert report["walks"]["formula"] == report["walks"]["trace"] == {"w1": 0}
+    code, report = run_json(capsys, "census", str(path))
+    assert code == 0
+    assert report["census"]["c4_not_k4"] == 0 and report["census"]["k4_count"] == 0
+
+
 # -- verify -----------------------------------------------------------------------
 
 

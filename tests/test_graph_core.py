@@ -1,4 +1,5 @@
 import random
+from collections import deque
 
 import pytest
 
@@ -110,6 +111,20 @@ def test_is_connected_two_disjoint_edges():
 
 def test_is_connected_single_vertex_with_loop():
     assert is_connected(build(1, [], [0]))
+
+
+def test_is_connected_searches_once_per_graph(monkeypatch):
+    from loopwalks import graph_core
+    searches = []
+
+    def counting_deque(items):
+        searches.append(items)
+        return deque(items)
+
+    monkeypatch.setattr(graph_core, "deque", counting_deque)
+    g = build(4, [(0, 1), (1, 2), (2, 3)])
+    assert is_connected(g) and is_connected(g) and g.connected
+    assert len(searches) == 1
 
 
 def test_loops_do_not_connect():

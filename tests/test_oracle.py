@@ -75,6 +75,27 @@ def test_per_vertex_matches_power_diagonal():
             assert walks.per_vertex == matrix_power_diagonal(g, k)
 
 
+def test_enumeration_fully_looped_complete_closed_form():
+    # every step has n choices, so n^k closed k-walks, n^(k-1) per start
+    for n in range(1, 13):
+        g = generate(FamilySpec.complete(n, loops=tuple(range(n))))
+        assert enumerate_closed_walks(g, 0).per_vertex == (1,) * n
+        for k in range(1, 7):
+            walks = enumerate_closed_walks(g, k)
+            assert walks.total == n ** k
+            assert walks.per_vertex == (n ** (k - 1),) * n
+
+
+def test_enumeration_counts_are_ints():
+    graphs = [build(1, []), build(1, [], [0]), build(3, [(0, 1)], [2]),
+              generate(FamilySpec.complete(4, loops=(0, 1, 3)))]
+    for g in graphs:
+        for k in range(9):
+            walks = enumerate_closed_walks(g, k)
+            assert all(type(x) is int for x in walks.per_vertex)
+            assert type(walks.total) is int
+
+
 def _dense_power_diagonal(graph, k):
     """Reference diagonal of A^k by plain dense integer products."""
     n = graph.order
