@@ -20,10 +20,9 @@ from .oracle import WalkEnumeration, enumerate_closed_walks, trace_power
 from .spectral import (BoundRecord, MomentReport, Spectrum, eigenvalues,
                        energy, energy_lower_bounds, m3_closed_form,
                        m4_closed_form, mcclelland_bound, moment_report,
-                       spectral_moment, twisted_moment, verify_cauchy_schwarz,
+                       twisted_moment, verify_cauchy_schwarz,
                        verify_ratio_chain)
 from .walks import (PathLoopProfile, WalkCounts, closed_form_w3,
-                    closed_form_w4, path_loop_profile, w2_formula, w3_formula,
-                    w4_formula, walk_counts)
+                    closed_form_w4, path_loop_profile, walk_counts)
 
 __version__ = "0.1.0"

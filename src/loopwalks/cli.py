@@ -27,14 +27,13 @@ import argparse
 import functools
 import math
 import sys
-from itertools import combinations
 from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 from typing import Sequence
 
 from . import spectral
-from .errors import LoopwalksError, SamplerExhausted
-from .families import FamilySpec, generate
+from .errors import LoopwalksError
+from .families import FAMILIES, FamilySpec, generate, sample_connected_graphs
 from .graph_core import SelfLoopGraph, is_connected
 from .graphio import load_graph, serialize_graph
 from .census import subgraph_census
@@ -44,53 +43,6 @@ from .walks import walk_counts
 _CLOSED_FORM_TOL = 1e-7
 _DEFAULT_CS_EXPONENTS = (0.0, 0.5, 1.0, 1.5, 2.0, 3.0)
 _DEFAULT_RST = ((1.0, 0.0, 2.0), (1.5, 2.0, 2.0), (2.0, 3.0, 3.0))
-
-
-# -- deterministic sampler ----------------------------------------------
-
-
-class SplitMix64:
-    """Tiny 64-bit deterministic generator backing the verify sampler."""
-
-    _MASK = (1 << 64) - 1
-
-    def __init__(self, seed: int):
-        self._state = seed & self._MASK
-
-    def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & self._MASK
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & self._MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & self._MASK
-        return z ^ (z >> 31)
-
-    def random(self) -> float:
-        return (self.next_u64() >> 11) * (2.0 ** -53)
-
-    def below(self, bound: int) -> int:
-        return self.next_u64() % bound
-
-
-def sample_connected_graphs(count: int, n_lo: int, n_hi: int,
-                            edge_prob: float, loop_prob: float,
-                            seed: int) -> list[SelfLoopGraph]:
-    """Rejection-sample connected graphs with at least one edge."""
-    rng = SplitMix64(seed)
-    out: list[SelfLoopGraph] = []
-    attempts = 0
-    while len(out) < count:
-        attempts += 1
-        if attempts > 1000 * max(count, 1):
-            raise SamplerExhausted("sampler keeps producing disconnected graphs; "
-                                   "raise the edge probability")
-        n = n_lo + rng.below(n_hi - n_lo + 1)
-        edges = tuple(pair for pair in combinations(range(n), 2)
-                      if rng.random() < edge_prob)
-        loops = tuple(v for v in range(n) if rng.random() < loop_prob)
-        graph = SelfLoopGraph(order=n, edges=edges, loops=loops)
-        if graph.size >= 1 and is_connected(graph):
-            out.append(graph)
-    return out
 
 
 # -- report plumbing ------------------------------------------------------
@@ -218,10 +170,14 @@ def _graph_summary(graph: SelfLoopGraph) -> dict:
             "connected": is_connected(graph)}
 
 
-def _connectivity_warnings(graph: SelfLoopGraph) -> list[str]:
-    if is_connected(graph):
-        return []
-    return ["graph is disconnected; connectivity-based results are skipped"]
+def _graph_report(graph: SelfLoopGraph, **sections) -> dict:
+    """A one-graph report: its summary, the given sections, and a warning
+    when the graph is disconnected."""
+    report = {"graph": _graph_summary(graph), **sections}
+    if not is_connected(graph):
+        report["warnings"] = [
+            "graph is disconnected; connectivity-based results are skipped"]
+    return report
 
 
 # -- subcommand implementations -------------------------------------------
@@ -235,28 +191,23 @@ def cmd_walks(graph: SelfLoopGraph, kmax: int) -> tuple[dict, int]:
     formula = {f"w{k}": getattr(wc, f"w{k}") for k in range(1, min(kmax, 4) + 1)}
     trace = {f"w{k}": trace_power(graph, k) for k in range(1, kmax + 1)}
     agree = all(formula[key] == trace[key] for key in formula)
-    report = {
-        "graph": _graph_summary(graph),
-        "walks": {"formula": formula, "trace": trace, "agree": agree},
-    }
-    warnings = _connectivity_warnings(graph)
-    if warnings:
-        report["warnings"] = warnings
+    report = _graph_report(
+        graph, walks={"formula": formula, "trace": trace, "agree": agree})
     return report, 0 if agree else 1
 
 
 def cmd_moments(graph: SelfLoopGraph, qs: Sequence[float]) -> tuple[dict, int]:
     """Spectrum, exact moments, twisted moments, and closed-form checks."""
-    spec = spectral.eigenvalues(graph)
-    report_data = spectral.moment_report(graph, qs=qs, spectrum=spec)
-    m3_direct = spectral.twisted_moment(graph, 3.0, spectrum=spec)
-    m4_direct = spectral.twisted_moment(graph, 4.0, spectrum=spec)
+    report_data = spectral.moment_report(graph, qs=qs)
+    spec = report_data.spectrum
+    m3_direct = spectral.twisted_moment(graph, 3.0)
+    m4_direct = spectral.twisted_moment(graph, 4.0)
     closed_ok = (_closed_form_agrees(report_data.m3_closed, m3_direct)
                  and _closed_form_agrees(report_data.m4_closed, m4_direct))
     bounds = [record.as_dict() for record in report_data.bounds]
-    report = {
-        "graph": _graph_summary(graph),
-        "moments": {
+    report = _graph_report(
+        graph,
+        moments={
             "eigenvalues": list(spec.eigenvalues),
             "residual": spec.residual,
             "sweeps": spec.sweeps_used,
@@ -269,11 +220,7 @@ def cmd_moments(graph: SelfLoopGraph, qs: Sequence[float]) -> tuple[dict, int]:
             "m4_direct": m4_direct,
             "closed_forms_agree": closed_ok,
         },
-        "bounds": bounds,
-    }
-    warnings = _connectivity_warnings(graph)
-    if warnings:
-        report["warnings"] = warnings
+        bounds=bounds)
     failed = (not closed_ok) or any(not record["holds"] for record in bounds)
     return report, 1 if failed else 0
 
@@ -285,14 +232,7 @@ def _closed_form_agrees(closed: float, direct: float) -> bool:
 
 def cmd_census(graph: SelfLoopGraph) -> tuple[dict, int]:
     """Full substructure census dump."""
-    report = {
-        "graph": _graph_summary(graph),
-        "census": subgraph_census(graph).as_dict(),
-    }
-    warnings = _connectivity_warnings(graph)
-    if warnings:
-        report["warnings"] = warnings
-    return report, 0
+    return _graph_report(graph, census=subgraph_census(graph).as_dict()), 0
 
 
 def _verify_one(graph: SelfLoopGraph, chain_depth: int,
@@ -302,15 +242,13 @@ def _verify_one(graph: SelfLoopGraph, chain_depth: int,
         return [], "DisconnectedInput: connectivity hypotheses unmet; skipped"
     if graph.size < 1:
         return [], "HypothesisNotMet: the bounds assume at least one edge; skipped"
-    spec = spectral.eigenvalues(graph)
-    records = [spectral.mcclelland_bound(graph, spectrum=spec)]
+    records = [spectral.mcclelland_bound(graph)]
     for p in cs_exponents:
         for q in cs_exponents:
             if p <= q:
-                records.append(
-                    spectral.verify_cauchy_schwarz(graph, p, q, spectrum=spec))
-    records.extend(spectral.verify_ratio_chain(graph, chain_depth, spectrum=spec))
-    records.extend(spectral.energy_lower_bounds(graph, rst, spectrum=spec))
+                records.append(spectral.verify_cauchy_schwarz(graph, p, q))
+    records.extend(spectral.verify_ratio_chain(graph, chain_depth))
+    records.extend(spectral.energy_lower_bounds(graph, rst))
     return [record.as_dict() for record in records], None
 
 
@@ -357,43 +295,28 @@ def cmd_generate(args: argparse.Namespace) -> tuple[str, SelfLoopGraph]:
     return serialize_graph(graph, comment=comment), graph
 
 
+# The size flags each family constructor takes (every other family takes
+# --n), and the structured loop placements used when --loops is absent.
+_SIZE_FLAGS = {"complete_bipartite": ("a", "b"), "kneser": ("k",),
+               "petersen": ()}
+_PLACEMENT_FLAGS = {"complete_bipartite": ("sigma_a", "sigma_b"),
+                    "wheel": ("center_looped", "rim_loops"),
+                    "star": ("center_looped", "leaf_loops")}
+
+
 def _family_spec_from_args(args: argparse.Namespace) -> FamilySpec:
     loops = _parse_int_list(args.loops) if args.loops is not None else None
     family = args.family
-    if family == "complete":
-        _require(args.n is not None, "--family complete needs --n")
-        return FamilySpec.complete(args.n, loops or ())
-    if family == "complete_bipartite":
-        _require(args.a is not None and args.b is not None,
-                 "--family complete_bipartite needs --a and --b")
-        if loops is None:
-            return FamilySpec.complete_bipartite(
-                args.a, args.b, sigma_a=args.sigma_a, sigma_b=args.sigma_b)
-        return FamilySpec.complete_bipartite(args.a, args.b, loops=loops)
-    if family == "cycle":
-        _require(args.n is not None, "--family cycle needs --n")
-        return FamilySpec.cycle(args.n, loops or ())
-    if family == "path":
-        _require(args.n is not None, "--family path needs --n")
-        return FamilySpec.path(args.n, loops or ())
-    if family == "wheel":
-        _require(args.n is not None, "--family wheel needs --n")
-        if loops is None:
-            return FamilySpec.wheel(args.n, center_looped=args.center_loop,
-                                    rim_loops=args.rim_loops)
-        return FamilySpec.wheel(args.n, loops=loops)
-    if family == "star":
-        _require(args.n is not None, "--family star needs --n")
-        if loops is None:
-            return FamilySpec.star(args.n, center_looped=args.center_loop,
-                                   leaf_loops=args.leaf_loops)
-        return FamilySpec.star(args.n, loops=loops)
-    if family == "kneser":
-        _require(args.k is not None, "--family kneser needs --k")
-        return FamilySpec.kneser(args.k, loops or ())
-    if family == "petersen":
-        return FamilySpec.petersen(loops or ())
-    raise LoopwalksError(f"unknown family {family!r}")
+    sizes = _SIZE_FLAGS.get(family, ("n",))
+    kwargs = {name: getattr(args, name) for name in sizes}
+    _require(None not in kwargs.values(), f"--family {family} needs "
+             + " and ".join(f"--{name}" for name in sizes))
+    if loops is None:
+        kwargs.update((name, getattr(args, name))
+                      for name in _PLACEMENT_FLAGS.get(family, ()))
+    else:
+        kwargs["loops"] = loops
+    return getattr(FamilySpec, family)(**kwargs)
 
 
 def _require(condition: bool, message: str) -> None:
@@ -463,9 +386,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_format(p_verify)
 
     p_generate = sub.add_parser("generate", help="write a family graph file")
-    p_generate.add_argument("--family", required=True,
-                            choices=("complete", "complete_bipartite", "cycle",
-                                     "path", "wheel", "star", "kneser", "petersen"))
+    p_generate.add_argument("--family", required=True, choices=FAMILIES)
     p_generate.add_argument("--n", type=int, default=None)
     p_generate.add_argument("--a", type=int, default=None)
     p_generate.add_argument("--b", type=int, default=None)
@@ -474,7 +395,8 @@ def _build_parser() -> argparse.ArgumentParser:
                             help="comma-separated looped vertices")
     p_generate.add_argument("--sigma-a", type=int, default=0)
     p_generate.add_argument("--sigma-b", type=int, default=0)
-    p_generate.add_argument("--center-loop", action="store_true")
+    p_generate.add_argument("--center-loop", dest="center_looped",
+                            action="store_true")
     p_generate.add_argument("--rim-loops", type=int, default=0)
     p_generate.add_argument("--leaf-loops", type=int, default=0)
     p_generate.add_argument("-o", "--output", default=None)
@@ -487,29 +409,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
-    except LoopwalksError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (LoopwalksError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
 def _dispatch(args: argparse.Namespace) -> int:
-    if args.command == "walks":
-        report, code = cmd_walks(load_graph(args.file), args.kmax)
-        sys.stdout.write(render_report(report, args.format))
-        return code
-    if args.command == "moments":
-        report, code = cmd_moments(load_graph(args.file), _parse_float_list(args.q))
-        sys.stdout.write(render_report(report, args.format))
-        return code
-    if args.command == "census":
-        report, code = cmd_census(load_graph(args.file))
-        sys.stdout.write(render_report(report, args.format))
-        return code
-    if args.command == "verify":
-        return _dispatch_verify(args)
     if args.command == "generate":
         text, _ = cmd_generate(args)
         if args.output:
@@ -517,10 +422,21 @@ def _dispatch(args: argparse.Namespace) -> int:
         else:
             sys.stdout.write(text)
         return 0
-    raise LoopwalksError(f"unknown command {args.command!r}")
+    if args.command == "verify":
+        report, code = _verify_from_args(args)
+    else:
+        graph = load_graph(args.file)
+        if args.command == "walks":
+            report, code = cmd_walks(graph, args.kmax)
+        elif args.command == "moments":
+            report, code = cmd_moments(graph, _parse_float_list(args.q))
+        else:
+            report, code = cmd_census(graph)
+    sys.stdout.write(render_report(report, args.format))
+    return code
 
 
-def _dispatch_verify(args: argparse.Namespace) -> int:
+def _verify_from_args(args: argparse.Namespace) -> tuple[dict, int]:
     rst = (_DEFAULT_RST if args.rst is None
            else tuple(_parse_float_list(item) for item in args.rst))
     for triple in rst:
@@ -550,10 +466,7 @@ def _dispatch_verify(args: argparse.Namespace) -> int:
         labeled.append((path, load_graph(path)))
     if not labeled:
         raise LoopwalksError("verify needs graph files or --sample")
-    report, code = cmd_verify(labeled, args.chain_depth, rst,
-                              sampler_info=sampler_info)
-    sys.stdout.write(render_report(report, args.format))
-    return code
+    return cmd_verify(labeled, args.chain_depth, rst, sampler_info=sampler_info)
 
 
 def entry() -> None:

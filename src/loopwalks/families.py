@@ -1,4 +1,5 @@
-"""Generators for the named graph families, with parameterized loop placement.
+"""Graph sources: the named families with parameterized loop placement, the
+exhaustive small-graph stream, and the seeded sampler of connected graphs.
 
 Structured placements (part sizes, center/rim flags) are expanded to explicit
 loop-vertex lists up front; generated graphs never remember
@@ -7,11 +8,13 @@ which family they came from.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .errors import InvalidLoopPlacement, InvalidSpec, SizeLimitExceeded
+from .errors import (InvalidLoopPlacement, InvalidSpec, SamplerExhausted,
+                     SizeLimitExceeded)
 from .graph_core import SelfLoopGraph, build, is_connected
 
 FAMILIES = ("complete", "complete_bipartite", "cycle", "path", "wheel",
@@ -101,7 +104,7 @@ class FamilySpec:
     def kneser(cls, k: int, loops: Iterable[int] = ()) -> "FamilySpec":
         if k < 2:
             raise InvalidSpec(f"Kneser parameter must satisfy k >= 2, got {k}")
-        order = _binomial(2 * k + 1, k)
+        order = math.comb(2 * k + 1, k)
         return cls(family="kneser", k=k, loops=_check_loops(loops, order))
 
     @classmethod
@@ -117,7 +120,7 @@ class FamilySpec:
         if self.family == "complete_bipartite":
             return self.a + self.b
         if self.family == "kneser":
-            return _binomial(2 * self.k + 1, self.k)
+            return math.comb(2 * self.k + 1, self.k)
         if self.family == "petersen":
             return 10
         raise InvalidSpec(f"unknown family {self.family!r}")
@@ -153,11 +156,6 @@ def _check_loops(loops: Iterable[int], order: int) -> tuple[int, ...]:
     if len(set(out)) != len(out):
         raise InvalidSpec("duplicate loop vertex in family spec")
     return out
-
-
-def _binomial(n: int, k: int) -> int:
-    import math
-    return math.comb(n, k)
 
 
 def generate(spec: FamilySpec) -> SelfLoopGraph:
@@ -221,3 +219,47 @@ def enumerate_all_graphs(n: int, connected_only: bool = False) -> Iterator[SelfL
             continue
         for loops in loop_subsets:
             yield SelfLoopGraph(order=n, edges=edges, loops=loops)
+
+
+class SplitMix64:
+    """Tiny 64-bit deterministic generator backing the verify sampler."""
+
+    _MASK = (1 << 64) - 1
+
+    def __init__(self, seed: int):
+        self._state = seed & self._MASK
+
+    def next_u64(self) -> int:
+        self._state = (self._state + 0x9E3779B97F4A7C15) & self._MASK
+        z = self._state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & self._MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & self._MASK
+        return z ^ (z >> 31)
+
+    def random(self) -> float:
+        return (self.next_u64() >> 11) * (2.0 ** -53)
+
+    def below(self, bound: int) -> int:
+        return self.next_u64() % bound
+
+
+def sample_connected_graphs(count: int, n_lo: int, n_hi: int,
+                            edge_prob: float, loop_prob: float,
+                            seed: int) -> list[SelfLoopGraph]:
+    """Rejection-sample connected graphs with at least one edge."""
+    rng = SplitMix64(seed)
+    out: list[SelfLoopGraph] = []
+    attempts = 0
+    while len(out) < count:
+        attempts += 1
+        if attempts > 1000 * max(count, 1):
+            raise SamplerExhausted("sampler keeps producing disconnected graphs; "
+                                   "raise the edge probability")
+        n = n_lo + rng.below(n_hi - n_lo + 1)
+        edges = tuple(pair for pair in combinations(range(n), 2)
+                      if rng.random() < edge_prob)
+        loops = tuple(v for v in range(n) if rng.random() < loop_prob)
+        graph = SelfLoopGraph(order=n, edges=edges, loops=loops)
+        if graph.size >= 1 and is_connected(graph):
+            out.append(graph)
+    return out

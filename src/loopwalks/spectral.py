@@ -7,7 +7,11 @@ computed from the float spectrum while plain spectral moments come from
 exact integer traces of adjacency powers; the identities tying the two routes together
 act as the error detector.
 
-Each twisted moment M_q = sum |eigenvalue - center|^q is computed once per
+Each per-graph layer is computed once.  ``eigenvalues`` is the one
+solver entry point and always solves; every other function here reads the
+spectrum through a private memo of the last graph asked for, so the checks
+on one graph share one solve without the caller passing it along.  Each
+twisted moment M_q = sum |eigenvalue - center|^q is computed once per
 (spectrum, center, exponent): the ``Spectrum`` memoises the correctly
 rounded sums, so the energy, Cauchy-Schwarz, ratio-chain and energy
 lower-bound checks on one graph share them.  The center sigma/n is read
@@ -16,6 +20,7 @@ from the graph itself, not from a trace.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -74,8 +79,10 @@ class BoundRecord:
 
 @dataclass(frozen=True)
 class MomentReport:
-    """Spectral moments, twisted moments, energy, and bound evaluations."""
+    """Spectrum, spectral moments, twisted moments, energy, and bound
+    evaluations."""
 
+    spectrum: Spectrum
     spectral_moments: tuple[int, ...]
     twisted: tuple[tuple[float, float], ...]
     energy: float
@@ -146,13 +153,12 @@ def _jacobi(rows: list[list[float]]) -> tuple[list[float], float, int]:
                     row_q[i] = row_i[q]
 
 
-def spectral_moment(graph: SelfLoopGraph, k: int) -> int:
-    """Exact integer k-th spectral moment: the trace of the k-th power."""
-    return trace_power(graph, k)
-
-
-def _resolve(graph: SelfLoopGraph, spectrum: Spectrum | None) -> Spectrum:
-    return spectrum if spectrum is not None else eigenvalues(graph)
+@functools.lru_cache(maxsize=1)
+def _spectrum(graph: SelfLoopGraph) -> Spectrum:
+    """The spectrum of the last graph asked for, solved once.  Calls
+    ``eigenvalues`` by its module name, so a wrapper put there sees
+    every solve."""
+    return eigenvalues(graph)
 
 
 def _center(graph: SelfLoopGraph, k: int = 1) -> float:
@@ -160,19 +166,18 @@ def _center(graph: SelfLoopGraph, k: int = 1) -> float:
     return (graph.sigma if k == 1 else trace_power(graph, k)) / graph.order
 
 
-def twisted_moment(graph: SelfLoopGraph, q: float, k: int = 1,
-                   spectrum: Spectrum | None = None) -> float:
+def twisted_moment(graph: SelfLoopGraph, q: float, k: int = 1) -> float:
     """Sum of |eigenvalue - M_k/n|^q over the spectrum, with 0^0 = 1."""
     if q < 0:
         raise NegativeExponentUnsupported(f"exponent must be >= 0, got {q}")
     if k < 1:
         raise ConstraintViolation(f"twisting moment index must be >= 1, got {k}")
-    return _resolve(graph, spectrum)._twisted(_center(graph, k), q)
+    return _spectrum(graph)._twisted(_center(graph, k), q)
 
 
-def energy(graph: SelfLoopGraph, spectrum: Spectrum | None = None) -> float:
+def energy(graph: SelfLoopGraph) -> float:
     """Sum of |eigenvalue - sigma/n| over the spectrum."""
-    return _resolve(graph, spectrum)._twisted(_center(graph), 1.0)
+    return _spectrum(graph)._twisted(_center(graph), 1.0)
 
 
 # -- closed forms of the third and fourth twisted moments --------------
@@ -189,9 +194,9 @@ def m4_closed_form(graph: SelfLoopGraph) -> float:
             - 3.0 * sigma ** 4 / (n ** 3))
 
 
-def m3_closed_form(graph: SelfLoopGraph, spectrum: Spectrum | None = None) -> float:
+def m3_closed_form(graph: SelfLoopGraph) -> float:
     """Third twisted moment from walk counts plus partial eigenvalue sums."""
-    spec = _resolve(graph, spectrum)
+    spec = _spectrum(graph)
     return _m3_closed_with_j(graph, spec, _center_split(graph, spec))
 
 
@@ -209,7 +214,7 @@ def _m3_closed_with_j(graph: SelfLoopGraph, spectrum: Spectrum, j: int) -> float
     s2 = math.fsum(lam * lam for lam in lams)
     s3 = math.fsum(lam ** 3 for lam in lams)
     wc = walk_counts(graph)
-    total_energy = energy(graph, spectrum=spectrum)
+    total_energy = spectrum._twisted(_center(graph), 1.0)
     return (2.0 * s3
             - 6.0 * sigma / n * s2
             + 4.0 * sigma * sigma / (n * n) * s1
@@ -234,15 +239,14 @@ def _ge_record(name: str, lhs: float, rhs: float, tol_scale: float = 1.0) -> Bou
                        holds=slack >= -_SLACK_TOL * tol_scale)
 
 
-def verify_cauchy_schwarz(graph: SelfLoopGraph, p: float, q: float,
-                          spectrum: Spectrum | None = None) -> BoundRecord:
+def verify_cauchy_schwarz(graph: SelfLoopGraph, p: float, q: float) -> BoundRecord:
     """Check M_q^2 <= M_{2q-2p} * M_{2p} for 0 <= p <= q."""
     if p < 0 or q < 0:
         raise NegativeExponentUnsupported(
             f"exponents must be >= 0, got p={p}, q={q}")
     if p > q:
         raise ConstraintViolation(f"need p <= q, got p={p}, q={q}")
-    spec = _resolve(graph, spectrum)
+    spec = _spectrum(graph)
     center = _center(graph)
     mq = spec._twisted(center, q)
     m_2q2p = spec._twisted(center, 2 * q - 2 * p)
@@ -250,11 +254,11 @@ def verify_cauchy_schwarz(graph: SelfLoopGraph, p: float, q: float,
     return _le_record(f"cauchy_schwarz[p={p:g},q={q:g}]", mq * mq, m_2q2p * m_2p)
 
 
-def mcclelland_bound(graph: SelfLoopGraph, spectrum: Spectrum | None = None) -> BoundRecord:
+def mcclelland_bound(graph: SelfLoopGraph) -> BoundRecord:
     """Energy upper bound sqrt(n (2m + sigma - sigma^2/n)), from graph data."""
     n = graph.order
     sigma = graph.sigma
-    total_energy = energy(graph, spectrum=spectrum)
+    total_energy = energy(graph)
     rhs = math.sqrt(n * (2 * graph.size + sigma - sigma * sigma / n))
     return _le_record("mcclelland", total_energy, rhs)
 
@@ -266,14 +270,13 @@ def _require_bound_hypotheses(graph: SelfLoopGraph) -> None:
         raise HypothesisNotMet("bound verification assumes at least one edge")
 
 
-def verify_ratio_chain(graph: SelfLoopGraph, q_max: int,
-                       spectrum: Spectrum | None = None) -> list[BoundRecord]:
+def verify_ratio_chain(graph: SelfLoopGraph, q_max: int) -> list[BoundRecord]:
     """Positivity of the twisted moments up to q_max and the monotone
     ratio chain M_1/M_0 <= M_2/M_1 <= ... (relative 1e-9 tolerance)."""
     if q_max < 1:
         raise ConstraintViolation(f"chain depth must be >= 1, got {q_max}")
     _require_bound_hypotheses(graph)
-    spec = _resolve(graph, spectrum)
+    spec = _spectrum(graph)
     center = _center(graph)
     moments = [spec._twisted(center, i) for i in range(q_max + 1)]
     records = []
@@ -291,12 +294,11 @@ def verify_ratio_chain(graph: SelfLoopGraph, q_max: int,
 
 
 def energy_lower_bounds(graph: SelfLoopGraph,
-                        rst_triples: Iterable[Sequence[float]] = (),
-                        spectrum: Spectrum | None = None) -> list[BoundRecord]:
+                        rst_triples: Iterable[Sequence[float]] = ()) -> list[BoundRecord]:
     """Lower bounds on energy and on the third/fourth twisted moments,
     plus one record per caller-supplied (r, s, t) with 4r = s + t + 2."""
     _require_bound_hypotheses(graph)
-    spec = _resolve(graph, spectrum)
+    spec = _spectrum(graph)
     center = _center(graph)
     n = graph.order
     m = graph.size
@@ -332,22 +334,20 @@ def energy_lower_bounds(graph: SelfLoopGraph,
 def moment_report(graph: SelfLoopGraph,
                   qs: Sequence[float] = (0.0, 1.0, 2.0, 3.0, 4.0),
                   kmax: int = 4,
-                  rst_triples: Iterable[Sequence[float]] = (),
-                  spectrum: Spectrum | None = None) -> MomentReport:
-    """Bundle of exact moments, twisted moments, energy, closed forms,
-    and the standard bound evaluations (when the hypotheses hold)."""
-    spec = _resolve(graph, spectrum)
+                  rst_triples: Iterable[Sequence[float]] = ()) -> MomentReport:
+    """Bundle of the spectrum, exact moments, twisted moments, energy,
+    closed forms, and the standard bound evaluations (when the hypotheses
+    hold)."""
     exact = tuple(trace_power(graph, k) for k in range(kmax + 1))
-    twisted = tuple((float(q), twisted_moment(graph, q, spectrum=spec))
-                    for q in qs)
-    total_energy = energy(graph, spectrum=spec)
+    twisted = tuple((float(q), twisted_moment(graph, q)) for q in qs)
     bounds: tuple[BoundRecord, ...] = ()
     if is_connected(graph) and graph.size >= 1:
-        bounds = (mcclelland_bound(graph, spectrum=spec),
-                  *energy_lower_bounds(graph, rst_triples, spectrum=spec))
-    return MomentReport(spectral_moments=exact,
+        bounds = (mcclelland_bound(graph),
+                  *energy_lower_bounds(graph, rst_triples))
+    return MomentReport(spectrum=_spectrum(graph),
+                        spectral_moments=exact,
                         twisted=twisted,
-                        energy=total_energy,
-                        m3_closed=m3_closed_form(graph, spectrum=spec),
+                        energy=energy(graph),
+                        m3_closed=m3_closed_form(graph),
                         m4_closed=m4_closed_form(graph),
                         bounds=bounds)

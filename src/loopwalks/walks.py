@@ -1,16 +1,18 @@
 """Exact closed-walk counters and per-family closed forms.
 
-The general counters express the number of closed 1..4-walks through degree
-statistics and the subgraph census; the per-family closed forms are pure
-arithmetic on a family description and never touch a graph, so the two
-routes cross-check each other.
+``walk_counts`` is the one formula route: it expresses the number of closed
+1..4-walks through degree statistics and the subgraph census, taken once
+per graph through a private memo of the last graph asked for.  The
+per-family closed forms are pure arithmetic on a family description and
+never touch a graph, so the two routes cross-check each other.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
-from .census import SubgraphCensus, subgraph_census, triangle_census
+from .census import SubgraphCensus, subgraph_census
 from .errors import InvalidLoopPlacement, NotAPathOrCycle, UnsupportedFamily
 from .families import FamilySpec
 from .graph_core import SelfLoopGraph, is_connected
@@ -42,38 +44,28 @@ class PathLoopProfile:
     sigma_na: int
 
 
-def w2_formula(graph: SelfLoopGraph) -> int:
-    """Closed 2-walks: twice the size plus the loop count."""
-    return 2 * graph.size + graph.sigma
-
-
-def w3_formula(graph: SelfLoopGraph) -> int:
-    """Closed 3-walks from looped degrees and the triangle count."""
-    degrees = graph.degrees
-    triangles_total = triangle_census(graph)[0]
-    return (3 * sum(degrees[v] for v in graph.loops)
-            + 6 * triangles_total + graph.sigma)
-
-
-def w4_formula(graph: SelfLoopGraph, census: SubgraphCensus | None = None) -> int:
-    """Closed 4-walks from the full subgraph census."""
-    c = census if census is not None else subgraph_census(graph)
-    t1, t2, t3 = c.tri_loops
-    return (graph.sigma
-            + 2 * (c.zagreb1 - graph.size)
-            + 6 * c.degree_sum_S
-            - 2 * c.n1_sum_S
-            + 8 * (t1 + 2 * t2 + 3 * t3 + c.c4_not_k4 + 3 * c.k4_count))
+@functools.lru_cache(maxsize=1)
+def _census(graph: SelfLoopGraph) -> SubgraphCensus:
+    """The census of the last graph asked for, taken once.  Calls
+    ``subgraph_census`` by its module name, so a wrapper put there sees
+    every census."""
+    return subgraph_census(graph)
 
 
 def walk_counts(graph: SelfLoopGraph) -> WalkCounts:
-    """All four closed-walk totals, sharing a single census pass."""
-    c = subgraph_census(graph)
-    w3 = 3 * c.degree_sum_S + 6 * c.triangles_total + graph.sigma
-    return WalkCounts(w1=graph.sigma,
-                      w2=2 * graph.size + graph.sigma,
-                      w3=w3,
-                      w4=w4_formula(graph, census=c))
+    """Closed 1..4-walk totals from degree statistics and the census."""
+    c = _census(graph)
+    sigma = graph.sigma
+    t1, t2, t3 = c.tri_loops
+    return WalkCounts(
+        w1=sigma,
+        w2=2 * graph.size + sigma,
+        w3=3 * c.degree_sum_S + 6 * c.triangles_total + sigma,
+        w4=(sigma
+            + 2 * (c.zagreb1 - graph.size)
+            + 6 * c.degree_sum_S
+            - 2 * c.n1_sum_S
+            + 8 * (t1 + 2 * t2 + 3 * t3 + c.c4_not_k4 + 3 * c.k4_count)))
 
 
 # -- per-family closed forms ------------------------------------------

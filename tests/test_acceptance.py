@@ -1,7 +1,7 @@
 """Acceptance suite: one test per release criterion, each at its stated
 tolerance, printing a single pass line (visible with ``pytest -s`` or
-``-rA``).  The exhaustive suites and their spectra are shared through
-session fixtures so the whole file stays fast.
+``-rA``).  The exhaustive suites are shared through session fixtures so
+the whole file stays fast.
 """
 
 import json
@@ -17,9 +17,10 @@ from loopwalks import (FamilySpec, build, closed_form_w3, closed_form_w4,
                        enumerate_all_graphs, enumerate_closed_walks, generate,
                        is_connected, m3_closed_form, m4_closed_form,
                        parse_graph, trace_power, twisted_moment,
-                       verify_cauchy_schwarz, verify_ratio_chain, w3_formula,
-                       w4_formula, walk_counts)
-from loopwalks.cli import main, sample_connected_graphs
+                       verify_cauchy_schwarz, verify_ratio_chain,
+                       walk_counts)
+from loopwalks.cli import main
+from loopwalks.families import sample_connected_graphs
 from loopwalks.errors import InvalidLoopPlacement
 from loopwalks.spectral import BoundRecord
 
@@ -36,8 +37,8 @@ def full_suite():
 
 
 @pytest.fixture(scope="session")
-def connected_spectra(full_suite):
-    return [(g, eigenvalues(g)) for g in full_suite if is_connected(g)]
+def connected_suite(full_suite):
+    return [g for g in full_suite if is_connected(g)]
 
 
 @pytest.fixture(scope="session")
@@ -55,9 +56,8 @@ def random_graphs():
 
 
 @pytest.fixture(scope="session")
-def random_connected_spectra():
-    graphs = sample_connected_graphs(1000, 2, 10, 0.5, 0.5, seed=42)
-    return [(g, eigenvalues(g)) for g in graphs]
+def random_connected():
+    return sample_connected_graphs(1000, 2, 10, 0.5, 0.5, seed=42)
 
 
 def test_criterion_1_exhaustive_oracle_equivalence(full_suite):
@@ -81,40 +81,40 @@ def test_criterion_2_paper_checkpoints():
     checks = 0
 
     k4 = generate(FamilySpec.complete(4, loops=(0, 1, 3)))
-    assert w4_formula(k4) == 207
+    assert walk_counts(k4).w4 == 207
     checks += 1
 
     petersen = generate(FamilySpec.petersen(loops=(4,)))
-    assert w3_formula(petersen) == 10
+    assert walk_counts(petersen).w3 == 10
     checks += 1
 
     q1 = FamilySpec.path(8, loops=(1, 2, 4, 6))
     q2 = FamilySpec.path(8, loops=(1, 2, 4, 5, 6))
-    assert closed_form_w4(q1) == w4_formula(generate(q1)) == 78
-    assert closed_form_w4(q2) == w4_formula(generate(q2)) == 95
+    assert closed_form_w4(q1) == walk_counts(generate(q1)).w4 == 78
+    assert closed_form_w4(q2) == walk_counts(generate(q2)).w4 == 95
     checks += 2
 
     for sigma, expected in ((1, 35), (2, 56), (3, 81)):
         spec = FamilySpec.cycle(3, loops=tuple(range(sigma)))
-        assert closed_form_w4(spec) == w4_formula(generate(spec)) == expected
+        assert closed_form_w4(spec) == walk_counts(generate(spec)).w4 == expected
         checks += 1
 
-    assert w4_formula(generate(FamilySpec.complete_bipartite(2, 3))) == 72
+    assert walk_counts(generate(FamilySpec.complete_bipartite(2, 3))).w4 == 72
     checks += 1
 
     for n in (4, 6, 8):
         half = n // 2
         spec = FamilySpec.complete_bipartite(half, half, sigma_a=half, sigma_b=half)
-        assert closed_form_w3(spec) == w3_formula(generate(spec)) == 3 * n * n // 2 + n
+        assert closed_form_w3(spec) == walk_counts(generate(spec)).w3 == 3 * n * n // 2 + n
         checks += 1
 
-    assert w4_formula(generate(FamilySpec.complete(5))) == 260
+    assert walk_counts(generate(FamilySpec.complete(5))).w4 == 260
     checks += 1
 
     for n in range(3, 8):
         for sigma in range(n + 1):
             g = generate(FamilySpec.complete(n, loops=tuple(range(sigma))))
-            assert w3_formula(g) == sigma * (3 * n - 2) + n * (n - 1) * (n - 2)
+            assert walk_counts(g).w3 == sigma * (3 * n - 2) + n * (n - 1) * (n - 2)
             checks += 1
 
     print(f"\n[criterion 2] {checks} exact paper checkpoints: PASS")
@@ -134,39 +134,38 @@ def test_criterion_3_spectral_identities(full_suite, random_graphs):
           f"{worst:.2e} < 1e-8: PASS")
 
 
-def test_criterion_4_twisted_closed_forms(connected_spectra):
+def test_criterion_4_twisted_closed_forms(connected_suite):
     worst = 0.0
-    for g, spec in connected_spectra:
-        gap3 = abs(m3_closed_form(g, spectrum=spec)
-                   - twisted_moment(g, 3.0, spectrum=spec))
-        gap4 = abs(m4_closed_form(g) - twisted_moment(g, 4.0, spectrum=spec))
+    for g in connected_suite:
+        gap3 = abs(m3_closed_form(g) - twisted_moment(g, 3.0))
+        gap4 = abs(m4_closed_form(g) - twisted_moment(g, 4.0))
         worst = max(worst, gap3, gap4)
         assert gap3 < 1e-7 and gap4 < 1e-7, (g.edges, g.loops)
     print(f"\n[criterion 4] third/fourth twisted-moment closed forms vs "
-          f"direct sums on {len(connected_spectra)} connected graphs, worst "
+          f"direct sums on {len(connected_suite)} connected graphs, worst "
           f"gap {worst:.2e} < 1e-7: PASS")
 
 
-def test_criterion_5_inequality_suite(connected_spectra, random_connected_spectra):
+def test_criterion_5_inequality_suite(connected_suite, random_connected):
     started = time.time()
-    eligible = [(g, s) for g, s in connected_spectra if g.size >= 1]
-    eligible += random_connected_spectra
+    eligible = [g for g in connected_suite if g.size >= 1]
+    eligible += random_connected
     worst = math.inf
     records_checked = 0
-    for g, spec in eligible:
+    for g in eligible:
         for i, p in enumerate(CS_GRID):
             for q in CS_GRID[i:]:
-                record = verify_cauchy_schwarz(g, p, q, spectrum=spec)
+                record = verify_cauchy_schwarz(g, p, q)
                 assert record.slack >= -1e-9, (g.edges, g.loops, record)
                 worst = min(worst, record.slack)
                 records_checked += 1
-        for record in verify_ratio_chain(g, 10, spectrum=spec):
+        for record in verify_ratio_chain(g, 10):
             if record.name.startswith("twisted_positive"):
                 assert record.lhs > 1e-12, (g.edges, g.loops, record)
             else:
                 assert record.holds, (g.edges, g.loops, record)
             records_checked += 1
-        for record in energy_lower_bounds(g, RST_TRIPLES, spectrum=spec):
+        for record in energy_lower_bounds(g, RST_TRIPLES):
             assert record.slack >= -1e-9, (g.edges, g.loops, record)
             worst = min(worst, record.slack)
             records_checked += 1
@@ -184,10 +183,9 @@ def test_criterion_6_equality_cases():
                 spec = (FamilySpec.complete_bipartite(a, b, sigma_a=a, sigma_b=b)
                         if hat else FamilySpec.complete_bipartite(a, b))
                 g = generate(spec)
-                s = eigenvalues(g)
-                e = energy(g, spectrum=s)
-                m2 = twisted_moment(g, 2.0, spectrum=s)
-                m4 = twisted_moment(g, 4.0, spectrum=s)
+                e = energy(g)
+                m2 = twisted_moment(g, 2.0)
+                m4 = twisted_moment(g, 4.0)
                 assert abs(e * e - m2 ** 3 / m4) < 1e-7, (a, b, hat)
 
     hat22 = generate(FamilySpec.complete_bipartite(2, 2, sigma_a=2, sigma_b=2))
@@ -209,12 +207,12 @@ def test_criterion_7_closed_forms_match_general_formulas():
     for n in range(1, 11):
         for loops in _all_loop_subsets(n):
             spec = FamilySpec.complete(n, loops)
-            assert closed_form_w3(spec) == w3_formula(generate(spec))
+            assert closed_form_w3(spec) == walk_counts(generate(spec)).w3
             checked += 1
 
     for n in range(4, 11):
         spec = FamilySpec.complete(n)
-        assert closed_form_w4(spec) == w4_formula(generate(spec))
+        assert closed_form_w4(spec) == walk_counts(generate(spec)).w4
         checked += 1
 
     for a in range(1, 6):
@@ -222,16 +220,16 @@ def test_criterion_7_closed_forms_match_general_formulas():
             for loops in _all_loop_subsets(a + b):
                 spec = FamilySpec.complete_bipartite(a, b, loops=loops)
                 g = generate(spec)
-                assert closed_form_w3(spec) == w3_formula(g)
-                assert closed_form_w4(spec) == w4_formula(g)
+                assert closed_form_w3(spec) == walk_counts(g).w3
+                assert closed_form_w4(spec) == walk_counts(g).w4
                 checked += 2
 
     for n in range(3, 11):
         for loops in _all_loop_subsets(n):
             spec = FamilySpec.cycle(n, loops)
             g = generate(spec)
-            assert closed_form_w3(spec) == w3_formula(g)
-            assert closed_form_w4(spec) == w4_formula(g)
+            assert closed_form_w3(spec) == walk_counts(g).w3
+            assert closed_form_w4(spec) == walk_counts(g).w4
             checked += 2
 
     supported = 0
@@ -242,7 +240,7 @@ def test_criterion_7_closed_forms_match_general_formulas():
                 value = closed_form_w4(spec)
             except InvalidLoopPlacement:
                 continue
-            assert value == w4_formula(generate(spec))
+            assert value == walk_counts(generate(spec)).w4
             supported += 1
     assert supported > 500
     checked += supported
@@ -250,19 +248,19 @@ def test_criterion_7_closed_forms_match_general_formulas():
     for n in range(2, 11):
         for loops in _all_loop_subsets(n):
             spec = FamilySpec.star(n, loops=loops)
-            assert closed_form_w4(spec) == w4_formula(generate(spec))
+            assert closed_form_w4(spec) == walk_counts(generate(spec)).w4
             checked += 1
 
     for n in range(5, 11):
         for loops in _all_loop_subsets(n):
             spec = FamilySpec.wheel(n, loops=loops)
-            assert closed_form_w3(spec) == w3_formula(generate(spec))
+            assert closed_form_w3(spec) == walk_counts(generate(spec)).w3
             checked += 1
 
     for loops in _all_loop_subsets(10):
         spec = FamilySpec.petersen(loops)
         kneser_spec = FamilySpec.kneser(2, loops)
-        value = w3_formula(generate(spec))
+        value = walk_counts(generate(spec)).w3
         assert closed_form_w3(spec) == value
         assert closed_form_w3(kneser_spec) == value
         checked += 2
@@ -316,7 +314,7 @@ def test_criterion_8_cli_contract(tmp_path, capsys, monkeypatch):
 
     from loopwalks import spectral
 
-    def forced_violation(graph, spectrum=None):
+    def forced_violation(graph):
         return BoundRecord(name="mcclelland", lhs=1.0, rhs=0.0, slack=-1.0,
                            holds=False)
 

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
-from loopwalks import ParseError, parse_graph, serialize_graph
-from loopwalks.cli import SplitMix64, main, sample_connected_graphs
+from loopwalks import (FamilySpec, ParseError, generate, parse_graph,
+                       serialize_graph, spectral, walks)
+from loopwalks.cli import main
+from loopwalks.families import SplitMix64, sample_connected_graphs
 from loopwalks.spectral import BoundRecord
 
 
@@ -95,6 +97,56 @@ def test_generate_rejects_bad_spec(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags,spec", [
+    (["complete", "--n", "4", "--loops", "0,2"], FamilySpec.complete(4, (0, 2))),
+    (["complete", "--n", "4"], FamilySpec.complete(4)),
+    (["complete_bipartite", "--a", "2", "--b", "3", "--loops", "1,4"],
+     FamilySpec.complete_bipartite(2, 3, loops=(1, 4))),
+    (["complete_bipartite", "--a", "2", "--b", "3", "--sigma-a", "2",
+      "--sigma-b", "1"], FamilySpec.complete_bipartite(2, 3, sigma_a=2, sigma_b=1)),
+    (["cycle", "--n", "5", "--loops", "0,3"], FamilySpec.cycle(5, (0, 3))),
+    (["cycle", "--n", "5"], FamilySpec.cycle(5)),
+    (["path", "--n", "4", "--loops", "3"], FamilySpec.path(4, (3,))),
+    (["path", "--n", "4"], FamilySpec.path(4)),
+    (["wheel", "--n", "6", "--loops", "2", "--center-loop"],
+     FamilySpec.wheel(6, loops=(2,))),
+    (["wheel", "--n", "6", "--center-loop", "--rim-loops", "3"],
+     FamilySpec.wheel(6, center_looped=True, rim_loops=3)),
+    (["wheel", "--n", "6", "--rim-loops", "5"], FamilySpec.wheel(6, rim_loops=5)),
+    (["star", "--n", "5", "--loops", "1,4", "--leaf-loops", "1"],
+     FamilySpec.star(5, loops=(1, 4))),
+    (["star", "--n", "5", "--center-loop", "--leaf-loops", "2"],
+     FamilySpec.star(5, center_looped=True, leaf_loops=2)),
+    (["star", "--n", "5", "--leaf-loops", "4"], FamilySpec.star(5, leaf_loops=4)),
+    (["kneser", "--k", "3", "--loops", "0,34"], FamilySpec.kneser(3, (0, 34))),
+    (["kneser", "--k", "2"], FamilySpec.kneser(2)),
+    (["petersen", "--loops", "1"], FamilySpec.petersen((1,))),
+    (["petersen"], FamilySpec.petersen()),
+])
+def test_generate_every_family_both_placements(capsys, flags, spec):
+    # --loops wins over the structured placement flags when both are given
+    code, out = run_cli(capsys, "generate", "--family", *flags)
+    assert code == 0
+    assert parse_graph(out) == generate(spec)
+
+
+@pytest.mark.parametrize("flags,needs", [
+    (["complete"], "--n"),
+    (["cycle", "--loops", "0"], "--n"),
+    (["path"], "--n"),
+    (["wheel", "--center-loop"], "--n"),
+    (["star", "--leaf-loops", "1"], "--n"),
+    (["complete_bipartite", "--a", "2"], "--a and --b"),
+    (["complete_bipartite", "--b", "2", "--sigma-b", "1"], "--a and --b"),
+    (["kneser", "--n", "7"], "--k"),
+])
+def test_generate_missing_size_flag_is_input_error(capsys, flags, needs):
+    assert main(["generate", "--family", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --family {flags[0]} needs {needs}\n"
+
+
 # -- walks ---------------------------------------------------------------------
 
 
@@ -148,8 +200,8 @@ def test_moments_closed_form_tolerance_scales_with_magnitude(
     from loopwalks import spectral
     direct = spectral.twisted_moment
 
-    def shifted(graph, q, k=1, spectrum=None):
-        return direct(graph, q, k, spectrum) * (1.0 + offset)
+    def shifted(graph, q, k=1):
+        return direct(graph, q, k) * (1.0 + offset)
 
     path = tmp_path / "k30.txt"
     assert main(["generate", "--family", "complete", "--n", "30",
@@ -324,11 +376,41 @@ def test_verify_sampler_exhaustion_is_input_error(capsys):
                                  "--edge-prob", "1e-9"], "edge probability")
 
 
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counting(graph):
+        calls.append(graph)
+        return original(graph)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_verify_sample_solves_each_eigenproblem_once(monkeypatch, capsys):
+    spectral._spectrum.cache_clear()
+    solves = _count_calls(monkeypatch, spectral, "eigenvalues")
+    code, report = run_json(capsys, "verify", "--sample", "50", "--seed", "42")
+    assert code == 0 and report["summary"]["graphs"] == 50
+    assert len(solves) == 50
+
+
+def test_moments_solves_and_takes_census_once(monkeypatch, k4_file, capsys):
+    spectral._spectrum.cache_clear()
+    walks._census.cache_clear()
+    solves = _count_calls(monkeypatch, spectral, "eigenvalues")
+    censuses = _count_calls(monkeypatch, walks, "subgraph_census")
+    code, _ = run_json(capsys, "moments", k4_file)
+    assert code == 0
+    assert (len(solves), len(censuses)) == (1, 1)
+
+
 def test_verify_exit_one_on_violation(monkeypatch, tmp_path, capsys):
     # force a falsified record through the counting path
     from loopwalks import spectral
 
-    def broken_bound(graph, spectrum=None):
+    def broken_bound(graph):
         return BoundRecord(name="mcclelland", lhs=2.0, rhs=1.0, slack=-1.0,
                            holds=False)
 

@@ -1,9 +1,18 @@
+import inspect
+
 import pytest
 
 from loopwalks import (FamilySpec, InvalidLoopPlacement, InvalidSpec,
                        SizeLimitExceeded, enumerate_all_graphs, generate,
                        is_connected, parse_graph, serialize_graph,
                        triangle_census)
+from loopwalks.families import FAMILIES
+
+
+def test_every_family_name_is_a_spec_constructor():
+    for name in FAMILIES:
+        constructor = getattr(FamilySpec, name)
+        assert inspect.ismethod(constructor) and constructor.__self__ is FamilySpec
 
 
 def test_petersen_shape():

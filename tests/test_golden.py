@@ -1,0 +1,78 @@
+"""Pinned sha256 digests of the CLI's stdout, so that reports stay byte for
+byte what they were: a change that moves any real in its twelfth digit,
+reorders a key or alters a table line fails here.
+
+``verify FILE`` is left out because each result is labelled with its path.
+"""
+
+import hashlib
+
+import pytest
+
+from loopwalks.cli import main
+
+GRAPHS = {
+    "kneser": ["--family", "kneser", "--k", "3", "--loops", "0,3,5,8,13,21,34"],
+    "petersen": ["--family", "petersen", "--loops", "0,1,2,7"],
+    "k34": ["--family", "complete_bipartite", "--a", "3", "--b", "4",
+            "--sigma-a", "2", "--sigma-b", "1"],
+    "vertex": ["--family", "path", "--n", "1", "--loops", "0"],
+}
+
+COMMANDS = {"walks": ["--kmax", "9"], "moments": [], "census": []}
+
+DIGESTS = {
+    ("kneser", "walks", "json"): "cf2967973812db983d09fcc4f0dd51664a2b91005db092f7184e792e3a6ac95d",
+    ("kneser", "walks", "table"): "58a9b7e6a29dfddf065e43196aa00a25707bb39d14fe5a510841c00b2fe6cee0",
+    ("kneser", "moments", "json"): "fb790c65231770a05d65e3759e9e9a21d9ef3ded88a4927bdee86e78cd1a27d6",
+    ("kneser", "moments", "table"): "6e2ca029ea3c68e34b1bd43c03779d4143d188b8537eab373be401a68d872f0f",
+    ("kneser", "census", "json"): "fa8ad47a2036e1032554a3bdc9583544c8831d3204d62c98f1466e293a7c932d",
+    ("kneser", "census", "table"): "5db10ab570b643fb5f515a73b8004c6630084ad34e5e28fe325e5bcd55988d5d",
+    ("petersen", "walks", "json"): "ed40c00aa145f97497462751fe5f711d3c07578ec7aea6d1d6be350601e19f93",
+    ("petersen", "walks", "table"): "2a19571623015ca3bc78873db010994475a78d6f09ffb6f02da842518f17d4f5",
+    ("petersen", "moments", "json"): "ff47a1f52393cfc99a14c41f01e614cded8d5a875d0900c99d1ecadea86e3005",
+    ("petersen", "moments", "table"): "8d7418fdea936b9fa85c029b1be0999b27c3429bcb7a4331296519dbd1de1e5b",
+    ("petersen", "census", "json"): "e1f3303ab6b8e1e73d3cc3688177c8ec547eee3197a0def8ef1c2af4741955f8",
+    ("petersen", "census", "table"): "13ae8adb00da26a1c8997abf7b8577baf556b3f6ec5927426eb9844996fd05ee",
+    ("k34", "walks", "json"): "3943d6cc40fbcec3964744ace73a078304e154fa325edb826f4b54382d1b0e85",
+    ("k34", "walks", "table"): "01ff76bb62323cd24a9120fc2513d7f35e6b4cd0372513170827f3a324a57b2f",
+    ("k34", "moments", "json"): "c80b5717b0414f9b9e4a084be1e901039b95743676b1924b7672893f2d6875b8",
+    ("k34", "moments", "table"): "e9880f3c0fb4b72e736728588a494a9d5d80baf36dc11aac75d88e21dd9a2ff2",
+    ("k34", "census", "json"): "2d88c92a861e57301b482bd0496bea8ee4ab1fd84289ceb50cceae36c9cef077",
+    ("k34", "census", "table"): "ea75b53e38e1406a8b49f6a3407d466080db45417fb49f6660cb4b873957bf28",
+    ("vertex", "walks", "json"): "1f95a1e87a6277b3740837a3848119a04a4e5c108d6ff2551c188241d977c7b0",
+    ("vertex", "walks", "table"): "38164a02104e9f10d4ac66be8f042276d854c5f77bc3452ddcd0975c64c7c213",
+    ("vertex", "moments", "json"): "01aabf7c7a8b550405719e0bbb37356b40976a9246d35fe116aed6ecdd087c72",
+    ("vertex", "moments", "table"): "4ba0de0edc00b2fafba16c7ce7d59b2c6e635fc2edc353f67c3ca77b88b204c7",
+    ("vertex", "census", "json"): "88eaed5f5ca6f947c1af9e77ad16619752a6f382b6362078cdf0f5a4e7bcfaeb",
+    ("vertex", "census", "table"): "b1c8ac5e57bd09afbb253162280042aaf4d3c0959670ec92cd2551ec025d534a",
+}
+
+VERIFY_SAMPLE_SEED_42 = "5771d82a3d46473761329cb02a33b14bf665226fd28161f4c8cc28bc539b1c5f"
+
+
+def _stdout_digest(capsys, argv):
+    code = main(argv)
+    out = capsys.readouterr().out
+    return code, hashlib.sha256(out.encode("utf-8")).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def graph_files(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("golden")
+    files = {}
+    for name, flags in GRAPHS.items():
+        files[name] = str(directory / f"{name}.txt")
+        assert main(["generate", *flags, "-o", files[name]]) == 0
+    return files
+
+
+@pytest.mark.parametrize("graph,command,fmt", sorted(DIGESTS))
+def test_report_digest(capsys, graph_files, graph, command, fmt):
+    argv = [command, graph_files[graph], *COMMANDS[command], "--format", fmt]
+    assert _stdout_digest(capsys, argv) == (0, DIGESTS[graph, command, fmt])
+
+
+def test_verify_sample_digest(capsys):
+    argv = ["verify", "--sample", "1000", "--seed", "42"]
+    assert _stdout_digest(capsys, argv) == (0, VERIFY_SAMPLE_SEED_42)

@@ -6,8 +6,8 @@ import math
 
 import pytest
 
-from loopwalks.cli import (_DEFAULT_RST, _round_real, cmd_verify,
-                           render_report, sample_connected_graphs)
+from loopwalks.cli import _DEFAULT_RST, _round_real, cmd_verify, render_report
+from loopwalks.families import sample_connected_graphs
 
 
 def _prepare(obj):

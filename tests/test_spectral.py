@@ -9,11 +9,11 @@ from loopwalks import (ConstraintViolation, DisconnectedInput, FamilySpec,
                        NegativeExponentUnsupported, build, eigenvalues, energy,
                        energy_lower_bounds, enumerate_all_graphs, generate,
                        is_connected, m3_closed_form, m4_closed_form,
-                       mcclelland_bound, moment_report, spectral_moment,
+                       mcclelland_bound, moment_report, trace_power,
                        twisted_moment, verify_cauchy_schwarz,
-                       verify_ratio_chain)
+                       verify_ratio_chain, walk_counts)
 from loopwalks.cli import _DEFAULT_CS_EXPONENTS, _DEFAULT_RST
-from loopwalks.spectral import _center_split, _m3_closed_with_j
+from loopwalks.spectral import _center_split, _m3_closed_with_j, _spectrum
 
 
 def _random_graph(rng, n, edge_p=0.5, loop_p=0.5):
@@ -90,18 +90,18 @@ def test_jacobi_matches_numpy():
 
 
 def test_spectral_moment_k0_is_order(k4_three_loops):
-    assert spectral_moment(k4_three_loops, 0) == 4
+    assert trace_power(k4_three_loops, 0) == 4
 
 
 def test_spectral_moment_k4_example(k4_three_loops):
-    assert spectral_moment(k4_three_loops, 4) == 207
+    assert trace_power(k4_three_loops, 4) == 207
 
 
 def test_spectral_moment_k2():
     rng = random.Random(53)
     for _ in range(30):
         g = _random_graph(rng, rng.randint(1, 8))
-        assert spectral_moment(g, 2) == 2 * g.size + g.sigma
+        assert trace_power(g, 2) == 2 * g.size + g.sigma
 
 
 def test_float_and_integer_moments_agree():
@@ -110,7 +110,7 @@ def test_float_and_integer_moments_agree():
         g = _random_graph(rng, rng.randint(1, 12))
         spec = eigenvalues(g)
         for k in range(7):
-            exact = spectral_moment(g, k)
+            exact = trace_power(g, k)
             via_floats = math.fsum(x ** k for x in spec.eigenvalues)
             assert abs(via_floats - exact) <= 1e-6 * max(1.0, abs(exact))
 
@@ -160,38 +160,39 @@ def test_twisted_memo_matches_fresh_sums_for_verify_exponents():
         if g.size < 1 or not is_connected(g):
             continue
         checked += 1
-        spec = eigenvalues(g)
-        mcclelland_bound(g, spectrum=spec)
+        mcclelland_bound(g)
         for p in _DEFAULT_CS_EXPONENTS:
             for q in _DEFAULT_CS_EXPONENTS:
                 if p <= q:
-                    verify_cauchy_schwarz(g, p, q, spectrum=spec)
-        verify_ratio_chain(g, 8, spectrum=spec)
-        energy_lower_bounds(g, _DEFAULT_RST, spectrum=spec)
+                    verify_cauchy_schwarz(g, p, q)
+        verify_ratio_chain(g, 8)
+        energy_lower_bounds(g, _DEFAULT_RST)
+        spec = _spectrum(g)
         center = g.sigma / g.order
         assert {key[1] for key in spec._twisted_memo} >= exponents
         for (memo_center, q), value in spec._twisted_memo.items():
             assert memo_center == center
             assert value == _fresh_twisted(spec, center, q)
         for q in exponents:
-            assert twisted_moment(g, q, spectrum=spec) == _fresh_twisted(spec, center, q)
-        assert energy(g, spectrum=spec) == math.fsum(
+            assert twisted_moment(g, q) == _fresh_twisted(spec, center, q)
+        assert energy(g) == math.fsum(
             abs(lam - center) for lam in spec.eigenvalues)
 
 
 def test_twisted_memo_is_keyed_by_center():
-    looped = build(4, [(0, 1), (1, 2), (2, 3)], [0, 1])
-    other = build(4, [(0, 1), (1, 2), (2, 3)], [3])
-    spec = eigenvalues(looped)
-    first = twisted_moment(looped, 2.0, spectrum=spec)
-    assert first == _fresh_twisted(spec, 0.5, 2.0)
-    reused = twisted_moment(other, 2.0, spectrum=spec)
-    assert reused == _fresh_twisted(spec, 0.25, 2.0)
-    assert reused != first
-    assert energy(other, spectrum=spec) == _fresh_twisted(spec, 0.25, 1.0)
+    g = build(4, [(0, 1), (1, 2), (2, 3)], [0, 1])
+    _spectrum.cache_clear()
+    by_sigma = twisted_moment(g, 2.0)       # center sigma/n = 0.5
+    by_m2 = twisted_moment(g, 2.0, k=2)     # center M_2/n = 8/4
+    spec = _spectrum(g)
+    assert by_sigma == _fresh_twisted(spec, 0.5, 2.0)
+    assert by_m2 == _fresh_twisted(spec, 2.0, 2.0)
+    assert by_m2 != by_sigma
+    assert set(spec._twisted_memo) == {(0.5, 2.0), (2.0, 2.0)}
+    assert energy(g) == _fresh_twisted(spec, 0.5, 1.0)
     # the memo takes no part in equality, hashing or repr
-    assert spec == eigenvalues(looped)
-    assert hash(spec) == hash(eigenvalues(looped))
+    assert spec == eigenvalues(g)
+    assert hash(spec) == hash(eigenvalues(g))
     assert "memo" not in repr(spec)
 
 
@@ -204,7 +205,7 @@ def test_caller_faults_raise_package_errors(k4_three_loops):
 
 def test_twisted_higher_k_centering():
     g = build(3, [(0, 1), (1, 2)], [0])
-    center = spectral_moment(g, 2) / 3
+    center = trace_power(g, 2) / 3
     spec = eigenvalues(g)
     expected = math.fsum(abs(x - center) for x in spec.eigenvalues)
     assert twisted_moment(g, 1.0, k=2) == pytest.approx(expected, abs=1e-12)
@@ -237,17 +238,15 @@ def test_energy_at_least_4m_over_n_spot():
 def test_m4_closed_form_loopless_equals_w4():
     for g in enumerate_all_graphs(4):
         if g.sigma == 0:
-            from loopwalks import w4_formula
-            assert m4_closed_form(g) == pytest.approx(w4_formula(g), abs=1e-12)
+            assert m4_closed_form(g) == pytest.approx(walk_counts(g).w4, abs=1e-12)
 
 
 def test_closed_forms_match_direct_exhaustive_n4():
     for g in enumerate_all_graphs(4):
-        spec = eigenvalues(g)
-        assert m3_closed_form(g, spectrum=spec) == pytest.approx(
-            twisted_moment(g, 3.0, spectrum=spec), abs=1e-7)
+        assert m3_closed_form(g) == pytest.approx(
+            twisted_moment(g, 3.0), abs=1e-7)
         assert m4_closed_form(g) == pytest.approx(
-            twisted_moment(g, 4.0, spectrum=spec), abs=1e-7)
+            twisted_moment(g, 4.0), abs=1e-7)
 
 
 def test_m3_split_index_ties_are_value_irrelevant():
@@ -305,10 +304,9 @@ def test_cauchy_schwarz_grid_random_connected():
         g = _random_graph(rng, rng.randint(2, 8))
         if g.size < 1 or not is_connected(g):
             continue
-        spec = eigenvalues(g)
         for i, p in enumerate(grid):
             for q in grid[i:]:
-                record = verify_cauchy_schwarz(g, p, q, spectrum=spec)
+                record = verify_cauchy_schwarz(g, p, q)
                 assert record.slack >= -1e-9, (g, p, q, record)
         count += 1
 

@@ -5,8 +5,7 @@ import pytest
 from loopwalks import (FamilySpec, InvalidLoopPlacement, NotAPathOrCycle,
                        PathLoopProfile, UnsupportedFamily, build,
                        closed_form_w3, closed_form_w4, enumerate_all_graphs,
-                       generate, path_loop_profile, trace_power, w2_formula,
-                       w3_formula, w4_formula, walk_counts)
+                       generate, path_loop_profile, trace_power, walk_counts)
 
 
 def _all_loop_subsets(n):
@@ -18,40 +17,40 @@ def _all_loop_subsets(n):
 
 
 def test_w2_k2_loopless():
-    assert w2_formula(build(2, [(0, 1)])) == 2
+    assert walk_counts(build(2, [(0, 1)])).w2 == 2
 
 
 def test_w2_k4_three_loops(k4_three_loops):
-    assert w2_formula(k4_three_loops) == 15
+    assert walk_counts(k4_three_loops).w2 == 15
     assert trace_power(k4_three_loops, 2) == 15
 
 
 def test_w2_matches_trace_exhaustive_n3():
     for g in enumerate_all_graphs(3):
-        assert w2_formula(g) == trace_power(g, 2)
+        assert walk_counts(g).w2 == trace_power(g, 2)
 
 
 def test_w3_petersen_one_loop(petersen_one_loop):
-    assert w3_formula(petersen_one_loop) == 10
+    assert walk_counts(petersen_one_loop).w3 == 10
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
 def test_w3_complete_all_sigma(n):
     for sigma in range(n + 1):
         g = generate(FamilySpec.complete(n, loops=tuple(range(sigma))))
-        assert w3_formula(g) == sigma * (3 * n - 2) + n * (n - 1) * (n - 2)
+        assert walk_counts(g).w3 == sigma * (3 * n - 2) + n * (n - 1) * (n - 2)
 
 
 def test_w3_c3_two_loops():
     g = generate(FamilySpec.cycle(3, loops=(0, 1)))
-    assert w3_formula(g) == 20
+    assert walk_counts(g).w3 == 20
 
 
 def test_w3_loopless_is_six_triangles():
     from loopwalks import triangle_census
     for g in enumerate_all_graphs(4):
         if g.sigma == 0:
-            assert w3_formula(g) == 6 * triangle_census(g)[0]
+            assert walk_counts(g).w3 == 6 * triangle_census(g)[0]
 
 
 def test_w3_triangle_free_with_loops_is_positive():
@@ -59,28 +58,28 @@ def test_w3_triangle_free_with_loops_is_positive():
         for sigma_a in range(a + 1):
             g = generate(FamilySpec.complete_bipartite(a, b, sigma_a=sigma_a, sigma_b=1))
             looped_degree_sum = sum(g.degrees[v] for v in g.loops)
-            assert w3_formula(g) == 3 * looped_degree_sum + g.sigma > 0
+            assert walk_counts(g).w3 == 3 * looped_degree_sum + g.sigma > 0
 
 
 def test_w4_k4_three_loops(k4_three_loops):
-    assert w4_formula(k4_three_loops) == 207
+    assert walk_counts(k4_three_loops).w4 == 207
 
 
 def test_w4_k23_loopless():
-    assert w4_formula(generate(FamilySpec.complete_bipartite(2, 3))) == 72
+    assert walk_counts(generate(FamilySpec.complete_bipartite(2, 3))).w4 == 72
 
 
 @pytest.mark.parametrize("sigma,expected", [(1, 35), (2, 56), (3, 81)])
 def test_w4_c3(sigma, expected):
     g = generate(FamilySpec.cycle(3, loops=tuple(range(sigma))))
-    assert w4_formula(g) == expected
+    assert walk_counts(g).w4 == expected
 
 
 def test_w4_loopless_reduction():
     # with no loops only the Zagreb and cycle terms survive
     for g in enumerate_all_graphs(4):
         if g.sigma == 0:
-            assert w4_formula(g) == trace_power(g, 4)
+            assert walk_counts(g).w4 == trace_power(g, 4)
 
 
 def test_walk_counts_bundle(k4_three_loops):
@@ -173,7 +172,7 @@ def test_complete_w3_sweep_all_placements():
     for n in range(1, 6):
         for loops in _all_loop_subsets(n):
             spec = FamilySpec.complete(n, loops)
-            assert closed_form_w3(spec) == w3_formula(generate(spec))
+            assert closed_form_w3(spec) == walk_counts(generate(spec)).w3
 
 
 def test_bipartite_sweep():
@@ -184,16 +183,16 @@ def test_bipartite_sweep():
                     spec = FamilySpec.complete_bipartite(a, b, sigma_a=sigma_a,
                                                          sigma_b=sigma_b)
                     g = generate(spec)
-                    assert closed_form_w3(spec) == w3_formula(g)
-                    assert closed_form_w4(spec) == w4_formula(g)
+                    assert closed_form_w3(spec) == walk_counts(g).w3
+                    assert closed_form_w4(spec) == walk_counts(g).w4
 
 
 def test_bipartite_placement_independence():
     # scattered loops, not the canonical prefix placement
     spec = FamilySpec.complete_bipartite(3, 4, loops=(1, 2, 4, 6))
     g = generate(spec)
-    assert closed_form_w3(spec) == w3_formula(g)
-    assert closed_form_w4(spec) == w4_formula(g)
+    assert closed_form_w3(spec) == walk_counts(g).w3
+    assert closed_form_w4(spec) == walk_counts(g).w4
 
 
 def test_cycle_sweep_all_placements():
@@ -201,8 +200,8 @@ def test_cycle_sweep_all_placements():
         for loops in _all_loop_subsets(n):
             spec = FamilySpec.cycle(n, loops)
             g = generate(spec)
-            assert closed_form_w3(spec) == w3_formula(g)
-            assert closed_form_w4(spec) == w4_formula(g)
+            assert closed_form_w3(spec) == walk_counts(g).w3
+            assert closed_form_w4(spec) == walk_counts(g).w4
 
 
 def test_path_sweep_supported_placements():
@@ -214,7 +213,7 @@ def test_path_sweep_supported_placements():
                 value = closed_form_w4(spec)
             except InvalidLoopPlacement:
                 continue
-            assert value == w4_formula(generate(spec))
+            assert value == walk_counts(generate(spec)).w4
             checked += 1
     assert checked > 200
 
@@ -224,27 +223,27 @@ def test_star_sweep():
         for center in (False, True):
             for leaves in range(n):
                 spec = FamilySpec.star(n, center_looped=center, leaf_loops=leaves)
-                assert closed_form_w4(spec) == w4_formula(generate(spec))
+                assert closed_form_w4(spec) == walk_counts(generate(spec)).w4
 
 
 def test_wheel_w3_sweep_all_placements():
     for n in range(5, 8):
         for loops in _all_loop_subsets(n):
             spec = FamilySpec.wheel(n, loops=loops)
-            assert closed_form_w3(spec) == w3_formula(generate(spec))
+            assert closed_form_w3(spec) == walk_counts(generate(spec)).w3
 
 
 def test_kneser_w3_sweep():
     for k in (2, 3):
         for sigma in (0, 1, 4):
             spec = FamilySpec.kneser(k, loops=tuple(range(sigma)))
-            assert closed_form_w3(spec) == w3_formula(generate(spec))
+            assert closed_form_w3(spec) == walk_counts(generate(spec)).w3
 
 
 def test_complete_w4_sweep():
     for n in range(4, 9):
         spec = FamilySpec.complete(n)
-        assert closed_form_w4(spec) == w4_formula(generate(spec))
+        assert closed_form_w4(spec) == walk_counts(generate(spec)).w4
 
 
 # -- path loop profile -------------------------------------------------------
