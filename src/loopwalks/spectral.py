@@ -32,6 +32,9 @@ from .oracle import trace_power
 from .walks import walk_counts
 
 _MAX_SWEEPS = 100
+# eigenvalues this close to 0 or to sigma/n, relative to the spectral
+# radius, are solver noise and are reported as exactly that value
+_SNAP_TOL = 1e-10
 _SLACK_TOL = 1e-9
 _POSITIVITY_FLOOR = 1e-12
 _CENTER_TIE_TOL = 1e-9
@@ -95,8 +98,17 @@ def eigenvalues(graph: SelfLoopGraph) -> Spectrum:
     """Solve the symmetric eigenproblem of the adjacency matrix."""
     rows = [list(map(float, row)) for row in adjacency(graph)]
     diagonal, residual, sweeps = _jacobi(rows)
-    return Spectrum(eigenvalues=tuple(sorted(diagonal, reverse=True)),
+    return Spectrum(eigenvalues=_snap(diagonal, graph.sigma / graph.order),
                     residual=residual, sweeps_used=sweeps)
+
+
+def _snap(values: list[float], center: float) -> tuple[float, ...]:
+    """Sorted non-increasingly, with every value within _SNAP_TOL times
+    max(1, max |value|) of 0 or of the center set to exactly that."""
+    tol = _SNAP_TOL * max(1.0, max(map(abs, values)))
+    return tuple(sorted((0.0 if abs(x) <= tol
+                         else center if abs(x - center) <= tol
+                         else x for x in values), reverse=True))
 
 
 def _jacobi(rows: list[list[float]]) -> tuple[list[float], float, int]:

@@ -36,8 +36,8 @@ DIGESTS = {
     ("petersen", "census", "table"): "13ae8adb00da26a1c8997abf7b8577baf556b3f6ec5927426eb9844996fd05ee",
     ("k34", "walks", "json"): "3943d6cc40fbcec3964744ace73a078304e154fa325edb826f4b54382d1b0e85",
     ("k34", "walks", "table"): "01ff76bb62323cd24a9120fc2513d7f35e6b4cd0372513170827f3a324a57b2f",
-    ("k34", "moments", "json"): "c80b5717b0414f9b9e4a084be1e901039b95743676b1924b7672893f2d6875b8",
-    ("k34", "moments", "table"): "e9880f3c0fb4b72e736728588a494a9d5d80baf36dc11aac75d88e21dd9a2ff2",
+    ("k34", "moments", "json"): "1dde0adab2d989da0aba688ce2cdd64a0766c667bd46b0e9c9811c0ac37db761",
+    ("k34", "moments", "table"): "df961af7c9b8c68c2c09dcc47ca374e78f05aa83542f9a0a25729be1e79f409e",
     ("k34", "census", "json"): "2d88c92a861e57301b482bd0496bea8ee4ab1fd84289ceb50cceae36c9cef077",
     ("k34", "census", "table"): "ea75b53e38e1406a8b49f6a3407d466080db45417fb49f6660cb4b873957bf28",
     ("vertex", "walks", "json"): "1f95a1e87a6277b3740837a3848119a04a4e5c108d6ff2551c188241d977c7b0",
@@ -48,7 +48,7 @@ DIGESTS = {
     ("vertex", "census", "table"): "b1c8ac5e57bd09afbb253162280042aaf4d3c0959670ec92cd2551ec025d534a",
 }
 
-VERIFY_SAMPLE_SEED_42 = "5771d82a3d46473761329cb02a33b14bf665226fd28161f4c8cc28bc539b1c5f"
+VERIFY_SAMPLE_SEED_42 = "e5cb11ea1978cbffc0b4c5bc9895d3013c2c3fe7f70b302be42a36ce43189b72"
 
 
 def _stdout_digest(capsys, argv):

@@ -86,6 +86,33 @@ def test_jacobi_matches_numpy():
         assert ours == pytest.approx(reference, abs=1e-9)
 
 
+
+def test_zero_eigenvalues_are_exact():
+    # K(3,4) has rank 2, so five of its seven eigenvalues are 0
+    spec = eigenvalues(generate(FamilySpec.complete_bipartite(3, 4)))
+    assert spec.eigenvalues.count(0.0) == 5
+    assert all(math.copysign(1.0, lam) > 0 for lam in spec.eigenvalues
+               if lam == 0.0)
+
+
+def test_eigenvalues_at_the_center_are_exact():
+    # fully looped K(3,4) is A + I: five eigenvalues at sigma/n = 1
+    g = _hat_bipartite(3, 4)
+    assert g.sigma / g.order == 1.0
+    spec = eigenvalues(g)
+    assert spec.eigenvalues.count(1.0) == 5
+    expected = math.fsum(abs(lam - 1.0) ** 0.5 for lam in spec.eigenvalues
+                         if lam != 1.0)
+    assert twisted_moment(g, 0.5) == expected
+
+
+def test_snap_tolerance_scales_with_the_spectral_radius():
+    from loopwalks.spectral import _snap
+    # tolerance 1e-10 at radius 1 and 1e-9 at radius 10
+    assert _snap([3e-10, 1.0, -5e-11], 0.0) == (1.0, 3e-10, 0.0)
+    assert _snap([3e-10, 10.0, 0.5 + 9e-10], 0.5) == (10.0, 0.5, 0.0)
+
+
 # -- moments ---------------------------------------------------------------
 
 
