@@ -33,6 +33,15 @@ class SelfLoopGraph:
     edges: tuple[tuple[int, int], ...]
     loops: tuple[int, ...]
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The dataclass hash of the fields, computed once: the memos of
+        the last graph hash it on every hit."""
+        return hash((self.order, self.edges, self.loops))
+
     @property
     def size(self) -> int:
         """Number of proper edges (loops excluded)."""

@@ -223,6 +223,28 @@ def test_moments_disconnected_warns(tmp_path, capsys):
     assert any("disconnected" in w for w in report["warnings"])
 
 
+def test_moments_refuses_an_order_past_the_solver_guard(monkeypatch, tmp_path, capsys):
+    # refused before the dense matrix, the traces or the census are built
+    from loopwalks import oracle
+
+    def not_reached(*args):
+        raise AssertionError("work done past the order guard")
+
+    monkeypatch.setattr(spectral, "adjacency", not_reached)
+    monkeypatch.setattr(spectral, "trace_power", not_reached)
+    monkeypatch.setattr(oracle, "matrix_power_diagonal", not_reached)
+    monkeypatch.setattr(walks, "subgraph_census", not_reached)
+    spectral._spectrum.cache_clear()
+    path = tmp_path / "edgeless.txt"
+    path.write_text(f"n {spectral._MAX_DENSE_ORDER + 1}\n")
+    assert main(["moments", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
 # -- census -----------------------------------------------------------------------
 
 

@@ -24,20 +24,20 @@ COMMANDS = {"walks": ["--kmax", "9"], "moments": [], "census": []}
 DIGESTS = {
     ("kneser", "walks", "json"): "cf2967973812db983d09fcc4f0dd51664a2b91005db092f7184e792e3a6ac95d",
     ("kneser", "walks", "table"): "58a9b7e6a29dfddf065e43196aa00a25707bb39d14fe5a510841c00b2fe6cee0",
-    ("kneser", "moments", "json"): "fb790c65231770a05d65e3759e9e9a21d9ef3ded88a4927bdee86e78cd1a27d6",
-    ("kneser", "moments", "table"): "6e2ca029ea3c68e34b1bd43c03779d4143d188b8537eab373be401a68d872f0f",
+    ("kneser", "moments", "json"): "3bc64eea46ec311e762ada9338495ebc906f318c3c0be98954d287e6e4caf6cb",
+    ("kneser", "moments", "table"): "167a4235958bfe228a415cec806490223e54e11f584cc65b690a4b3a9d06c090",
     ("kneser", "census", "json"): "fa8ad47a2036e1032554a3bdc9583544c8831d3204d62c98f1466e293a7c932d",
     ("kneser", "census", "table"): "5db10ab570b643fb5f515a73b8004c6630084ad34e5e28fe325e5bcd55988d5d",
     ("petersen", "walks", "json"): "ed40c00aa145f97497462751fe5f711d3c07578ec7aea6d1d6be350601e19f93",
     ("petersen", "walks", "table"): "2a19571623015ca3bc78873db010994475a78d6f09ffb6f02da842518f17d4f5",
-    ("petersen", "moments", "json"): "ff47a1f52393cfc99a14c41f01e614cded8d5a875d0900c99d1ecadea86e3005",
-    ("petersen", "moments", "table"): "8d7418fdea936b9fa85c029b1be0999b27c3429bcb7a4331296519dbd1de1e5b",
+    ("petersen", "moments", "json"): "80dd20072e11b5a307e36ce2ae036c8e5cf6e00d7ea6ed4d0713bfc715d7f5f5",
+    ("petersen", "moments", "table"): "a57ecb4cbc8823e6b76fbe9eede29a0e743d14d41bd916d3727d9a37637a1719",
     ("petersen", "census", "json"): "e1f3303ab6b8e1e73d3cc3688177c8ec547eee3197a0def8ef1c2af4741955f8",
     ("petersen", "census", "table"): "13ae8adb00da26a1c8997abf7b8577baf556b3f6ec5927426eb9844996fd05ee",
     ("k34", "walks", "json"): "3943d6cc40fbcec3964744ace73a078304e154fa325edb826f4b54382d1b0e85",
     ("k34", "walks", "table"): "01ff76bb62323cd24a9120fc2513d7f35e6b4cd0372513170827f3a324a57b2f",
-    ("k34", "moments", "json"): "1dde0adab2d989da0aba688ce2cdd64a0766c667bd46b0e9c9811c0ac37db761",
-    ("k34", "moments", "table"): "df961af7c9b8c68c2c09dcc47ca374e78f05aa83542f9a0a25729be1e79f409e",
+    ("k34", "moments", "json"): "bd0c97a2382e92887261e1b46aaabb6b9f303b2f54b5327657e97f752a452389",
+    ("k34", "moments", "table"): "c2ecfbedc6ae4b91c93102a794de9d77e9b7c3192113ff74344ac2997dae4f26",
     ("k34", "census", "json"): "2d88c92a861e57301b482bd0496bea8ee4ab1fd84289ceb50cceae36c9cef077",
     ("k34", "census", "table"): "ea75b53e38e1406a8b49f6a3407d466080db45417fb49f6660cb4b873957bf28",
     ("vertex", "walks", "json"): "1f95a1e87a6277b3740837a3848119a04a4e5c108d6ff2551c188241d977c7b0",
@@ -48,7 +48,7 @@ DIGESTS = {
     ("vertex", "census", "table"): "b1c8ac5e57bd09afbb253162280042aaf4d3c0959670ec92cd2551ec025d534a",
 }
 
-VERIFY_SAMPLE_SEED_42 = "e5cb11ea1978cbffc0b4c5bc9895d3013c2c3fe7f70b302be42a36ce43189b72"
+VERIFY_SAMPLE_SEED_42 = "de9ce0cc29766cb6b0d7034bb68858b8600d01e66ed028b23af8820b0e96a2ef"
 
 
 def _stdout_digest(capsys, argv):

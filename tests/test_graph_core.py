@@ -130,3 +130,26 @@ def test_is_connected_searches_once_per_graph(monkeypatch):
 def test_loops_do_not_connect():
     g = build(2, [], [0, 1])
     assert not is_connected(g)
+
+
+def test_hash_is_cached_and_agrees_with_equality():
+    from loopwalks import SelfLoopGraph
+
+    a = build(4, [(0, 1), (1, 2), (2, 3)], [0, 2])
+    b = build(4, [(3, 2), (2, 1), (1, 0)], [2, 0])
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != build(4, [(0, 1), (1, 2), (2, 3)], [0])
+
+    hashed = []
+
+    class CountingPair(tuple):
+        def __hash__(self):
+            hashed.append(self)
+            return tuple.__hash__(self)
+
+    g = SelfLoopGraph(order=3, edges=(CountingPair((0, 1)), CountingPair((1, 2))),
+                      loops=(0,))
+    first = hash(g)
+    assert len(hashed) == 2
+    assert hash(g) == first
+    assert len(hashed) == 2  # the second hash did not walk the edges again
