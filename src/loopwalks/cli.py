@@ -16,7 +16,12 @@ rounded to 12 significant digits) or as an aligned text table via
 ``--format table``.  JSON is written in one rounding pass: each real is
 rounded as it is written, byte for byte what ``json.dumps(sort_keys=True,
 indent=2)`` gives on the rounded report, without first building a rounded
-copy.  Exit status: 0 when every requested check holds, 1 when a verified
+copy.  The writer dispatches on exact types first; within one report it
+lays out each dict shape (depth and keys in insertion order) once, writes
+reals, strings and bools in the dict loop without a call, and prints a
+real from its ``.12g`` text unless that text has an exponent or is
+nan/inf, which take the ``repr`` of the rounded real instead.
+Exit status: 0 when every requested check holds, 1 when a verified
 inequality or cross-check fails (closed forms within 1e-7, relative above
 magnitude 1), 2 on input errors.
 """
@@ -56,7 +61,7 @@ def _round_real(x: float) -> float:
 
 def render_report(report: dict, fmt: str) -> str:
     if fmt == "json":
-        return _json_text(report, 0, {}) + "\n"
+        return _json_text(report, 0, {}, {}) + "\n"
     return _render_table(report)
 
 
@@ -70,26 +75,49 @@ def _level(depth: int, brackets: str) -> tuple[str, str, str]:
 
 
 def _real_text(x: float) -> str:
-    x = _round_real(x)
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
+    """``float.__repr__(_round_real(x))``, or NaN/Infinity/-Infinity.
+
+    Rounded to at most 12 significant digits, a real has the same digits
+    under ``.12g`` and ``repr``; the two lay them out alike unless ``.12g``
+    switches to an exponent (decimal exponent >= 12 or < -4), so only those
+    reals, nan and the infinities take the rounding route."""
+    text = f"{x:.12g}"
+    if "e" in text or "n" in text:
+        x = _round_real(x)
+        if x != x:
+            return "NaN"
+        if x == math.inf:
+            return "Infinity"
+        if x == -math.inf:
+            return "-Infinity"
+        return float.__repr__(x)
+    if "." in text:
+        return text
+    return "0.0" if text == "-0" else text + ".0"
 
 
-def _json_text(obj, depth: int, reals: dict[float, str]) -> str:
+def _json_text(obj, depth: int, reals: dict[float, str],
+               shapes: dict[tuple, tuple]) -> str:
     """What ``json.dumps(obj, sort_keys=True, indent=2)`` writes once every
     real is rounded to 12 significant digits, written in a single pass.
     ``reals`` caches the text of each real already written; bound records
-    repeat many of them."""
-    if isinstance(obj, float):
+    repeat many of them.  The exact types take the first branches; bools,
+    ints, None and subclasses (an ``IntEnum``, a float subclass) fall
+    through to the ``isinstance`` chain."""
+    kind = type(obj)
+    if kind is float:
         text = reals.get(obj)
         if text is None:
             text = reals[obj] = _real_text(obj)
         return text
+    if kind is str:
+        return _encode_str(obj)
+    if kind is dict:
+        return _dict_text(obj, depth, reals, shapes)
+    if kind is list or kind is tuple:
+        return _sequence_text(obj, depth, reals, shapes)
+    if isinstance(obj, float):
+        return _real_text(obj)
     if isinstance(obj, str):
         return _encode_str(obj)
     if obj is True:
@@ -101,22 +129,65 @@ def _json_text(obj, depth: int, reals: dict[float, str]) -> str:
     if obj is None:
         return "null"
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        opening, separator, closing = _level(depth, "{}")
-        depth += 1
-        # keys must be strings: the encoder raises TypeError on any other
-        items = [_encode_str(key) + ": " + _json_text(obj[key], depth, reals)
-                 for key in sorted(obj)]
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        opening, separator, closing = _level(depth, "[]")
-        depth += 1
-        items = [_json_text(item, depth, reals) for item in obj]
-    else:
-        raise TypeError(f"cannot render {type(obj).__name__} in a report")
+        return _dict_text(obj, depth, reals, shapes)
+    if isinstance(obj, (list, tuple)):
+        return _sequence_text(obj, depth, reals, shapes)
+    raise TypeError(f"cannot render {type(obj).__name__} in a report")
+
+
+def _dict_text(obj: dict, depth: int, reals: dict[float, str],
+               shapes: dict[tuple, tuple]) -> str:
+    """A dict, laid out by its cached shape: ``shapes`` maps (depth, keys in
+    insertion order) to the sorted keys, the text before each value (the
+    opening or separator, the encoded key and ``": "``) and the closing
+    text.  Bound records repeat one shape.  Reals, strings and bools are
+    written here without a call."""
+    if not obj:
+        return "{}"
+    shape = shapes.get((depth, tuple(obj)))
+    if shape is None:
+        shape = shapes[depth, tuple(obj)] = _dict_shape(obj, depth)
+    names, heads, closing = shape
+    depth += 1
+    parts = []
+    for head, name in zip(heads, names):
+        value = obj[name]
+        kind = type(value)
+        if kind is float:
+            text = reals.get(value)
+            if text is None:
+                text = reals[value] = _real_text(value)
+        elif kind is str:
+            text = _encode_str(value)
+        elif value is True:
+            text = "true"
+        elif value is False:
+            text = "false"
+        else:
+            text = _json_text(value, depth, reals, shapes)
+        parts.append(head)
+        parts.append(text)
+    parts.append(closing)
     # one join per container, so a large report is copied once per level
+    return "".join(parts)
+
+
+def _dict_shape(obj: dict, depth: int) -> tuple[list, list[str], str]:
+    opening, separator, closing = _level(depth, "{}")
+    names = sorted(obj)
+    # keys must be strings: the encoder raises TypeError on any other
+    keys = [_encode_str(name) + ": " for name in names]
+    heads = [opening + keys[0]] + [separator + key for key in keys[1:]]
+    return names, heads, closing
+
+
+def _sequence_text(obj, depth: int, reals: dict[float, str],
+                   shapes: dict[tuple, tuple]) -> str:
+    if not obj:
+        return "[]"
+    opening, separator, closing = _level(depth, "[]")
+    depth += 1
+    items = [_json_text(item, depth, reals, shapes) for item in obj]
     items[0] = opening + items[0]
     items[-1] += closing
     return separator.join(items)
@@ -451,6 +522,10 @@ def _verify_from_args(args: argparse.Namespace) -> tuple[dict, int]:
         bounds = _parse_int_list(args.n_range)
         _require(len(bounds) == 2 and 2 <= bounds[0] <= bounds[1],
                  f"--n-range expects LO,HI with 2 <= LO <= HI, got {args.n_range!r}")
+        # the sampler draws O(n^2) pairs per graph, so refuse before it runs
+        _require(bounds[1] <= spectral._MAX_DENSE_ORDER,
+                 f"--n-range HI must be <= {spectral._MAX_DENSE_ORDER}, the "
+                 f"eigensolver's order guard, got {bounds[1]}")
         _require(0.0 < args.edge_prob <= 1.0,
                  f"--edge-prob must lie in (0, 1], got {args.edge_prob}")
         _require(0.0 <= args.loop_prob <= 1.0,

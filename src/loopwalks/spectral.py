@@ -36,7 +36,7 @@ from typing import Iterable, Sequence
 from .errors import (ConstraintViolation, DisconnectedInput, HypothesisNotMet,
                      NegativeExponentUnsupported, NoConvergence,
                      SizeLimitExceeded)
-from .graph_core import SelfLoopGraph, adjacency, is_connected
+from .graph_core import SelfLoopGraph, is_connected
 from .oracle import trace_power
 from .walks import walk_counts
 
@@ -115,7 +115,11 @@ def eigenvalues(graph: SelfLoopGraph) -> Spectrum:
         raise SizeLimitExceeded(
             f"the dense eigensolver is guarded to order <= {_MAX_DENSE_ORDER}; "
             f"got order {n}")
-    rows = [list(map(float, row)) for row in adjacency(graph)]
+    rows = [[0.0] * n for _ in range(n)]
+    for u, v in graph.edges:
+        rows[u][v] = rows[v][u] = 1.0
+    for v in graph.loops:
+        rows[v][v] = 1.0
     values, iterations = _householder_ql(rows)
     spectrum = _snap(values, graph.sigma / n)
     return Spectrum(eigenvalues=spectrum,

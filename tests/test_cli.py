@@ -224,13 +224,13 @@ def test_moments_disconnected_warns(tmp_path, capsys):
 
 
 def test_moments_refuses_an_order_past_the_solver_guard(monkeypatch, tmp_path, capsys):
-    # refused before the dense matrix, the traces or the census are built
+    # refused before the solver, the traces or the census run
     from loopwalks import oracle
 
     def not_reached(*args):
         raise AssertionError("work done past the order guard")
 
-    monkeypatch.setattr(spectral, "adjacency", not_reached)
+    monkeypatch.setattr(spectral, "_householder_ql", not_reached)
     monkeypatch.setattr(spectral, "trace_power", not_reached)
     monkeypatch.setattr(oracle, "matrix_power_diagonal", not_reached)
     monkeypatch.setattr(walks, "subgraph_census", not_reached)
@@ -396,6 +396,19 @@ def test_verify_accepts_probability_end_points(capsys):
 def test_verify_sampler_exhaustion_is_input_error(capsys):
     _assert_input_error(capsys, ["verify", "--sample", "1", "--n-range", "6,6",
                                  "--edge-prob", "1e-9"], "edge probability")
+
+
+def test_verify_refuses_n_range_past_the_solver_guard(monkeypatch, capsys):
+    # refused before the sampler draws its O(n^2) pairs
+    from loopwalks import cli
+
+    def not_reached(*args):
+        raise AssertionError("sampled past the order guard")
+
+    monkeypatch.setattr(cli, "sample_connected_graphs", not_reached)
+    hi = spectral._MAX_DENSE_ORDER + 1
+    _assert_input_error(capsys, ["verify", "--sample", "1", "--n-range",
+                                 f"{hi},{hi}"], "--n-range")
 
 
 def _count_calls(monkeypatch, module, name):

@@ -1,12 +1,16 @@
 """The one-pass report writers against the two-pass rendering they replace:
 round every real into a copy, then ``json.dumps`` or flatten the copy."""
 
+import enum
 import json
 import math
+from collections import OrderedDict
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from loopwalks.cli import _DEFAULT_RST, _round_real, cmd_verify, render_report
+from loopwalks.cli import (_DEFAULT_RST, _real_text, _round_real, cmd_verify,
+                           render_report)
 from loopwalks.families import sample_connected_graphs
 
 
@@ -68,12 +72,69 @@ def _synthetic_report():
         "records": [{"name": "b", "lhs": 0.1, "holds": True},
                     {"name": "a", "lhs": -0.0, "holds": False}],
         "Zeta": {"b": {"c": [1, {"d": (None, 2.0)}]}, "a": 0},
+        # the real formatter's switch points: .12g prints an exponent below
+        # 1e-4 and from 1e12 on, repr below 1e-4 and from 1e16 on
+        "switch_points": [1e-4, -1e-4, 9.99999999999e-05, 9.999999999995e-05,
+                          1e11, 1e12, 1e13, 1e14, 1e15, 1e16, -1e16,
+                          999999999999.5, 999999999999.4, 99999999999.95,
+                          123456789012.0, 5e-324, 2.225073858507201e-308,
+                          2.2250738585072014e-308, 0.0, -0.0, math.nan,
+                          math.inf, -math.inf],
+        # one key set in two insertion orders at one depth, and at two depths
+        "orders": [{"y": "s", "x": 1.5, "z": True},
+                   {"x": 2.5, "z": False, "y": "t"},
+                   {"x": {"y": 0.25, "x": -0.0, "z": None}, "y": 3, "z": []}],
+        "keys \"quoted\" {braced}": {"\"": 1.0, "}{": "v", "λ₁ ≥ 0": 2.0,
+                                      "ß": {"é": [0.1]}, "": True},
     }
 
 
-def test_json_writer_matches_json_dumps_on_synthetic_report():
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class _Real(float):
+    pass
+
+
+def _synthetic_report_with_subclasses():
+    """Subclasses of the exact types take the writer's fallback chain.  The
+    table writer prints an IntEnum by repr, so it is held to this report
+    only in JSON."""
     report = _synthetic_report()
+    report["subclasses"] = {
+        "enum": _Level.HIGH, "real": _Real(1 / 7),
+        "list": [_Level.LOW, _Real(-0.0), _Real(1e300), _Real(1e13)],
+        "mapping": OrderedDict([("b", _Real(2.5)), ("a", 1)]),
+        "nested": OrderedDict([("b", {"a": _Real(0.1)}), ("a", ())]),
+    }
+    return report
+
+
+def test_json_writer_matches_json_dumps_on_synthetic_report():
+    report = _synthetic_report_with_subclasses()
     assert render_report(report, "json") == _reference_json(report)
+    assert render_report(report, "json") == render_report(report, "json")
+
+
+def _rounded_real_text(x):
+    """The formatter's fallback route, taken by every real before the
+    ``.12g`` shortcut."""
+    x = _round_real(x)
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+@settings(derandomize=True, database=None, max_examples=2000, deadline=None)
+@given(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+def test_real_formatter_matches_rounding_route(x):
+    assert _real_text(x) == _rounded_real_text(x)
 
 
 def test_table_writer_matches_reference_on_synthetic_report():
