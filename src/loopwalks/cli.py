@@ -16,11 +16,11 @@ rounded to 12 significant digits) or as an aligned text table via
 ``--format table``.  JSON is written in one rounding pass: each real is
 rounded as it is written, byte for byte what ``json.dumps(sort_keys=True,
 indent=2)`` gives on the rounded report, without first building a rounded
-copy.  The writer dispatches on exact types first; within one report it
-lays out each dict shape (depth and keys in insertion order) once, writes
-reals, strings and bools in the dict loop without a call, and prints a
-real from its ``.12g`` text unless that text has an exponent or is
-nan/inf, which take the ``repr`` of the rounded real instead.
+copy.  Within one report the writer lays out each dict shape (depth and
+keys in insertion order) once, writes reals, strings, bools and ints in
+the dict loop without a call, and prints a real from its ``.12g`` text
+unless that text has an exponent or is nan/inf, which take the ``repr``
+of the rounded real instead.
 Exit status: 0 when every requested check holds, 1 when a verified
 inequality or cross-check fails (closed forms within 1e-7, relative above
 magnitude 1), 2 on input errors.
@@ -96,42 +96,36 @@ def _real_text(x: float) -> str:
     return "0.0" if text == "-0" else text + ".0"
 
 
+def _remember(reals: dict[float, str], x: float) -> str:
+    """The text of a real not yet in ``reals``, stored there.  ``reals``
+    holds the text of each real already written in one report; bound
+    records repeat many of them."""
+    text = reals[x] = _real_text(x)
+    return text
+
+
 def _json_text(obj, depth: int, reals: dict[float, str],
                shapes: dict[tuple, tuple]) -> str:
     """What ``json.dumps(obj, sort_keys=True, indent=2)`` writes once every
     real is rounded to 12 significant digits, written in a single pass.
-    ``reals`` caches the text of each real already written; bound records
-    repeat many of them.  The exact types take the first branches; bools,
-    ints, None and subclasses (an ``IntEnum``, a float subclass) fall
-    through to the ``isinstance`` chain."""
-    kind = type(obj)
-    if kind is float:
-        text = reals.get(obj)
-        if text is None:
-            text = reals[obj] = _real_text(obj)
-        return text
-    if kind is str:
-        return _encode_str(obj)
-    if kind is dict:
+    Dicts are tested first (bound records reach here from their list),
+    then scalars; bools before ints, which they subclass."""
+    if isinstance(obj, dict):
         return _dict_text(obj, depth, reals, shapes)
-    if kind is list or kind is tuple:
-        return _sequence_text(obj, depth, reals, shapes)
     if isinstance(obj, float):
-        return _real_text(obj)
-    if isinstance(obj, str):
-        return _encode_str(obj)
+        return reals.get(obj) or _remember(reals, obj)
     if obj is True:
         return "true"
     if obj is False:
         return "false"
     if isinstance(obj, int):
         return int.__repr__(obj)
-    if obj is None:
-        return "null"
-    if isinstance(obj, dict):
-        return _dict_text(obj, depth, reals, shapes)
     if isinstance(obj, (list, tuple)):
         return _sequence_text(obj, depth, reals, shapes)
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if obj is None:
+        return "null"
     raise TypeError(f"cannot render {type(obj).__name__} in a report")
 
 
@@ -140,8 +134,8 @@ def _dict_text(obj: dict, depth: int, reals: dict[float, str],
     """A dict, laid out by its cached shape: ``shapes`` maps (depth, keys in
     insertion order) to the sorted keys, the text before each value (the
     opening or separator, the encoded key and ``": "``) and the closing
-    text.  Bound records repeat one shape.  Reals, strings and bools are
-    written here without a call."""
+    text.  Bound records repeat one shape.  Reals, strings, bools and ints
+    are written here without a call."""
     if not obj:
         return "{}"
     shape = shapes.get((depth, tuple(obj)))
@@ -154,15 +148,15 @@ def _dict_text(obj: dict, depth: int, reals: dict[float, str],
         value = obj[name]
         kind = type(value)
         if kind is float:
-            text = reals.get(value)
-            if text is None:
-                text = reals[value] = _real_text(value)
+            text = reals.get(value) or _remember(reals, value)
         elif kind is str:
             text = _encode_str(value)
         elif value is True:
             text = "true"
         elif value is False:
             text = "false"
+        elif kind is int:
+            text = int.__repr__(value)
         else:
             text = _json_text(value, depth, reals, shapes)
         parts.append(head)

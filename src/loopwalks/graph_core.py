@@ -154,15 +154,21 @@ def build(order: int,
 
 def adjacency(graph: SelfLoopGraph) -> AdjacencyMatrix:
     """Dense symmetric adjacency matrix; trace equals the loop count."""
+    return tuple(tuple(row) for row in adjacency_rows(graph, 1))
+
+
+def adjacency_rows(graph: SelfLoopGraph,
+                   one: int | float) -> list[list[int | float]]:
+    """The adjacency matrix as fresh mutable rows: ``one`` at each edge and
+    loop, ``0 * one`` elsewhere.  The eigensolver fills float rows here
+    instead of copying ``adjacency``'s int tuples."""
     n = graph.order
-    loop_set = graph.loop_set
-    rows = [[0] * n for _ in range(n)]
+    rows = [[0 * one] * n for _ in range(n)]
     for u, v in graph.edges:
-        rows[u][v] = 1
-        rows[v][u] = 1
-    for v in loop_set:
-        rows[v][v] = 1
-    return tuple(tuple(row) for row in rows)
+        rows[u][v] = rows[v][u] = one
+    for v in graph.loops:
+        rows[v][v] = one
+    return rows
 
 
 def is_connected(graph: SelfLoopGraph) -> bool:

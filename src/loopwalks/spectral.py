@@ -36,7 +36,7 @@ from typing import Iterable, Sequence
 from .errors import (ConstraintViolation, DisconnectedInput, HypothesisNotMet,
                      NegativeExponentUnsupported, NoConvergence,
                      SizeLimitExceeded)
-from .graph_core import SelfLoopGraph, is_connected
+from .graph_core import SelfLoopGraph, adjacency_rows, is_connected
 from .oracle import trace_power
 from .walks import walk_counts
 
@@ -115,12 +115,7 @@ def eigenvalues(graph: SelfLoopGraph) -> Spectrum:
         raise SizeLimitExceeded(
             f"the dense eigensolver is guarded to order <= {_MAX_DENSE_ORDER}; "
             f"got order {n}")
-    rows = [[0.0] * n for _ in range(n)]
-    for u, v in graph.edges:
-        rows[u][v] = rows[v][u] = 1.0
-    for v in graph.loops:
-        rows[v][v] = 1.0
-    values, iterations = _householder_ql(rows)
+    values, iterations = _householder_ql(adjacency_rows(graph, 1.0))
     spectrum = _snap(values, graph.sigma / n)
     return Spectrum(eigenvalues=spectrum,
                     residual=_trace_residual(graph, spectrum),

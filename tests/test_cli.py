@@ -224,13 +224,13 @@ def test_moments_disconnected_warns(tmp_path, capsys):
 
 
 def test_moments_refuses_an_order_past_the_solver_guard(monkeypatch, tmp_path, capsys):
-    # refused before the solver, the traces or the census run
+    # refused before the dense matrix, the traces or the census are built
     from loopwalks import oracle
 
     def not_reached(*args):
         raise AssertionError("work done past the order guard")
 
-    monkeypatch.setattr(spectral, "_householder_ql", not_reached)
+    monkeypatch.setattr(spectral, "adjacency_rows", not_reached)
     monkeypatch.setattr(spectral, "trace_power", not_reached)
     monkeypatch.setattr(oracle, "matrix_power_diagonal", not_reached)
     monkeypatch.setattr(walks, "subgraph_census", not_reached)

@@ -5,6 +5,7 @@ import pytest
 
 from loopwalks import (DuplicateEdge, IndexOutOfRange, SelfPairInEdgeList,
                        adjacency, build, is_connected)
+from loopwalks.graph_core import adjacency_rows
 
 
 def test_build_basic():
@@ -92,6 +93,15 @@ def test_adjacency_stable_under_rebuild():
     first = adjacency(build(4, edges, [2, 0]))
     second = adjacency(build(4, list(reversed(edges)), [0, 2]))
     assert first == second
+
+
+def test_adjacency_rows_are_fresh_rows_of_the_given_unit():
+    g = build(5, [(0, 1), (1, 2), (2, 3), (0, 4)], [2, 4])
+    rows = adjacency_rows(g, 1.0)
+    assert tuple(map(tuple, rows)) == adjacency(g)
+    assert {type(x) for row in rows for x in row} == {float}
+    rows[0][0] = 7.0
+    assert adjacency_rows(g, 1.0)[0][0] == 0.0
 
 
 def test_rebuild_gives_equal_value():

@@ -159,10 +159,10 @@ def test_solver_iterations_grow_linearly_with_order(n):
 def test_solver_refuses_orders_above_the_guard(monkeypatch):
     from loopwalks import SizeLimitExceeded, spectral
 
-    def no_solve(rows):
-        raise AssertionError("solved past the order guard")
+    def no_matrix(graph, one):
+        raise AssertionError("built a matrix past the order guard")
 
-    monkeypatch.setattr(spectral, "_householder_ql", no_solve)
+    monkeypatch.setattr(spectral, "adjacency_rows", no_matrix)
     with pytest.raises(SizeLimitExceeded, match="order"):
         eigenvalues(build(spectral._MAX_DENSE_ORDER + 1, []))
 
