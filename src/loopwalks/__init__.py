@@ -1,10 +1,8 @@
 """Closed-walk counts, subgraph census, spectral moments and energy bounds
 for graphs with self-loops."""
 
-from .census import (SubgraphCensus, first_zagreb, four_cycle_census,
-                     four_cycle_census_per_vertex, loop_boundary,
-                     subgraph_census, triangle_census,
-                     triangle_census_per_vertex)
+from .census import (SubgraphCensus, four_cycle_census, loop_boundary,
+                     subgraph_census, triangle_census)
 from .errors import (ConstraintViolation, DisconnectedInput, DuplicateEdge,
                      GraphBuildError, HypothesisNotMet, IndexOutOfRange,
                      InvalidLoopPlacement, InvalidSpec, LoopwalksError,

@@ -7,12 +7,14 @@ whose vertex set induces a full 4-clique is booked under the clique count
 only; a 4-cycle on a 4-set inducing five edges (a diamond) still counts as
 a 4-cycle.  Total 4-cycles therefore decompose as c4_not_k4 + 3 * k4_count.
 
-4-cycles are counted by codegrees, not by scanning 4-sets: the cycles
-through v number sum over u != v of C(|N(u) & N(v)|, 2), which counts each
-4-clique on v three times, so c4_at[v] = through[v] - 3 * k4_at[v] once the
-4-cliques are listed by intersecting neighbor masks along each edge.  The
-cost is O(n^2) mask popcounts over the vertices of degree >= 2 plus the
-clique listing (O(m * d^2) for maximum degree d); edgeless graphs cost O(n).
+Every count but the loop-boundary one is a total: the walk formulas read
+no per-vertex triangle or 4-cycle counts, so none are kept.  Triangles are
+popcounts of common neighbors along each edge.  4-cycles are counted by
+codegrees, not by scanning 4-sets: the sum over vertex pairs of
+C(|N(u) & N(v)|, 2) counts each 4-cycle twice and each 4-clique six times,
+and the 4-cliques are one popcount per triangle.  The cost is O(n^2) mask
+popcounts over the vertices of degree >= 2 plus one popcount per edge and
+per triangle; edgeless graphs cost O(n).
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from .graph_core import SelfLoopGraph
 
 @dataclass(frozen=True)
 class SubgraphCensus:
-    """All substructure counts of one graph, per-vertex and aggregate."""
+    """The substructure counts of one graph: totals, except the per-vertex
+    loop-boundary counts n1 and n2."""
 
     zagreb1: int
     degree_sum_S: int
@@ -49,11 +52,6 @@ class SubgraphCensus:
             "c4_not_k4": self.c4_not_k4,
             "k4_count": self.k4_count,
         }
-
-
-def first_zagreb(graph: SelfLoopGraph) -> int:
-    """Sum of squared proper degrees."""
-    return sum(d * d for d in graph.degrees)
 
 
 def loop_boundary(graph: SelfLoopGraph) -> tuple[tuple[int, ...], tuple[int, ...], int]:
@@ -81,98 +79,50 @@ def loop_boundary(graph: SelfLoopGraph) -> tuple[tuple[int, ...], tuple[int, ...
 
 
 def triangle_census(graph: SelfLoopGraph) -> tuple[int, int, int, int]:
-    """(total triangles, and those with exactly 1, 2, 3 looped vertices)."""
-    _, by_loops = _triangles(graph)
-    return sum(by_loops), by_loops[1], by_loops[2], by_loops[3]
+    """(total triangles, and those with exactly 1, 2, 3 looped vertices).
 
-
-def triangle_census_per_vertex(graph: SelfLoopGraph) -> tuple[tuple[int, int, int, int], ...]:
-    """Per vertex: triangles through it with 0, 1, 2, 3 looped vertices."""
-    rows, _ = _triangles(graph)
-    return tuple(tuple(rows[4 * v:4 * v + 4]) for v in range(graph.order))
-
-
-def _triangles(graph: SelfLoopGraph) -> tuple[list[int], list[int]]:
-    """Triangles by number of looped vertices: per-vertex rows, flattened
-    (entry 4v + r counts those through v with r loops), and totals.
-
-    Each triangle u < v < w is listed once, from its edge (u, v), as a
-    common neighbor w above v.
+    Each triangle u < v < w is found once, from its edge (u, v), among the
+    common neighbors above v; the looped ones among them have one more
+    looped vertex than the edge itself.
     """
-    rows = [0] * (4 * graph.order)
     by_loops = [0, 0, 0, 0]
     masks = graph.neighbor_masks
     loop_mask = graph.loop_mask
     for u, v in graph.edges:
-        common = (masks[u] & masks[v]) >> (v + 1)
-        if not common:
-            continue
-        looped_uv = (loop_mask >> u & 1) + (loop_mask >> v & 1)
-        w = v + 1
-        while common:
-            if common & 1:
-                r = looped_uv + (loop_mask >> w & 1)
-                by_loops[r] += 1
-                rows[4 * u + r] += 1
-                rows[4 * v + r] += 1
-                rows[4 * w + r] += 1
-            common >>= 1
-            w += 1
-    return rows, by_loops
+        common = masks[u] & masks[v] & (-1 << (v + 1))
+        if common:
+            r = (loop_mask >> u & 1) + (loop_mask >> v & 1)
+            looped = (common & loop_mask).bit_count()
+            by_loops[r + 1] += looped
+            by_loops[r] += common.bit_count() - looped
+    return sum(by_loops), by_loops[1], by_loops[2], by_loops[3]
 
 
 def four_cycle_census(graph: SelfLoopGraph) -> tuple[int, int]:
-    """(4-cycles whose vertex set does not induce a 4-clique, 4-cliques)."""
-    _, _, c4, k4 = _four_cycles(graph)
-    return c4, k4
+    """(4-cycles whose vertex set does not induce a 4-clique, 4-cliques).
 
-
-def four_cycle_census_per_vertex(graph: SelfLoopGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Per-vertex counts of non-clique 4-cycles and 4-cliques through it."""
-    c4_at, k4_at, _, _ = _four_cycles(graph)
-    return tuple(c4_at), tuple(k4_at)
-
-
-def _four_cycles(graph: SelfLoopGraph) -> tuple[list[int], list[int], int, int]:
-    """Per-vertex and total non-clique 4-cycles and 4-cliques, by codegrees.
-
-    A 4-cycle through v pairs v with its opposite vertex u and two of their
-    common neighbors, so through[v] = sum over u != v of C(codeg(u, v), 2)
-    counts every 4-cycle through v, including the three of each 4-clique.
-    4-cliques are listed by intersecting masks along each edge.
+    A 4-cycle is a pair of opposite vertices with two of their common
+    neighbors, so the sum over vertex pairs of C(codegree, 2) counts every
+    4-cycle twice, once per diagonal, and each 4-clique holds three.  The
+    4-cliques v < w < x < y are counted from each edge (v, w) and each
+    common neighbor x above w, as the common neighbors of all three above x.
     """
-    n = graph.order
     masks = graph.neighbor_masks
     # Both ends of a codegree >= 2 have degree >= 2; skipping the other
     # vertices makes an edgeless graph cost O(n).
-    hubs = [v for v in range(n) if masks[v] & (masks[v] - 1)]
-    through = [0] * n
-    for v, u in combinations(hubs, 2):
-        codegree = (masks[v] & masks[u]).bit_count()
-        if codegree > 1:
-            pairs = codegree * (codegree - 1) >> 1
-            through[v] += pairs
-            through[u] += pairs
-    k4_at = [0] * n
-    k4_total = 0
+    hubs = [masks[v] for v in range(graph.order) if masks[v] & (masks[v] - 1)]
+    pairs = 0
+    for v_mask, u_mask in combinations(hubs, 2):
+        codegree = (v_mask & u_mask).bit_count()
+        pairs += codegree * (codegree - 1) >> 1
+    k4 = 0
     for v, w in graph.edges:
         above_w = masks[v] & masks[w] & (-1 << (w + 1))
         while above_w:
             low = above_w & -above_w
-            x = low.bit_length() - 1
             above_w ^= low
-            above_x = above_w & masks[x]
-            while above_x:
-                low = above_x & -above_x
-                y = low.bit_length() - 1
-                above_x ^= low
-                k4_total += 1
-                k4_at[v] += 1
-                k4_at[w] += 1
-                k4_at[x] += 1
-                k4_at[y] += 1
-    c4_at = [t - 3 * k for t, k in zip(through, k4_at)]
-    return c4_at, k4_at, sum(through) // 4 - 3 * k4_total, k4_total
+            k4 += (above_w & masks[low.bit_length() - 1]).bit_count()
+    return pairs // 2 - 3 * k4, k4
 
 
 def subgraph_census(graph: SelfLoopGraph) -> SubgraphCensus:

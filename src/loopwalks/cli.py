@@ -36,8 +36,8 @@ from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 from typing import Sequence
 
-from . import spectral
-from .errors import LoopwalksError
+from . import oracle, spectral
+from .errors import LoopwalksError, SizeLimitExceeded
 from .families import FAMILIES, FamilySpec, generate, sample_connected_graphs
 from .graph_core import SelfLoopGraph, is_connected
 from .graphio import load_graph, serialize_graph
@@ -202,11 +202,14 @@ def _format_value(value) -> str:
 
 
 def _repr_value(value) -> str:
-    """``repr`` of the value with every real rounded and tuples as lists."""
+    """``repr`` of the value with every real rounded, every int subclass but
+    bool written as an int, and tuples as lists."""
     if isinstance(value, float):
         return repr(_round_real(value))
-    if isinstance(value, (bool, int, str)) or value is None:
+    if isinstance(value, (bool, str)) or value is None:
         return repr(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
     if isinstance(value, dict):
         return "{" + ", ".join(f"{key!r}: {_repr_value(item)}"
                                for key, item in value.items()) + "}"
@@ -252,6 +255,9 @@ def cmd_walks(graph: SelfLoopGraph, kmax: int) -> tuple[dict, int]:
     """Walk counts by formula (lengths 1..4) and by matrix-power trace."""
     if kmax < 1:
         raise LoopwalksError(f"--kmax must be >= 1, got {kmax}")
+    if kmax > oracle._MAX_TRACE_K:
+        raise SizeLimitExceeded(
+            f"--kmax must be <= {oracle._MAX_TRACE_K}, the trace sweep's guard, got {kmax}")
     wc = walk_counts(graph)
     formula = {f"w{k}": getattr(wc, f"w{k}") for k in range(1, min(kmax, 4) + 1)}
     trace = {f"w{k}": trace_power(graph, k) for k in range(1, kmax + 1)}

@@ -26,6 +26,10 @@ from .graph_core import SelfLoopGraph
 
 _MAX_ENUM_K = 8
 _MAX_ENUM_ORDER = 12
+# The longest trace sweep `walks --kmax` runs: each power above 4 adds sparse
+# steps on ever larger integers, so the sweep over 1..k grows faster than k^2
+# (K10 with two loops, 2-vCPU host: 0.09 s at k = 64, 4 s at k = 512).
+_MAX_TRACE_K = 64
 
 
 @dataclass(frozen=True)

@@ -494,6 +494,25 @@ def test_bad_kmax_is_input_error(k4_file, capsys):
     assert main(["walks", k4_file, "--kmax", "0"]) == 2
 
 
+def test_walks_refuses_kmax_past_the_trace_guard(monkeypatch, tmp_path, capsys):
+    # refused before the census or any trace runs, even on one vertex
+    from loopwalks import cli, oracle
+
+    def not_reached(*args):
+        raise AssertionError("work done past the --kmax guard")
+
+    monkeypatch.setattr(cli, "walk_counts", not_reached)
+    monkeypatch.setattr(cli, "trace_power", not_reached)
+    path = tmp_path / "vertex.txt"
+    path.write_text("n 1\nl 0\n")
+    assert main(["walks", str(path), "--kmax", str(oracle._MAX_TRACE_K + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ") and "--kmax" in captured.err
+    assert "Traceback" not in captured.err
+
+
 # -- sampler ---------------------------------------------------------------------
 
 

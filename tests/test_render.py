@@ -15,9 +15,12 @@ from loopwalks.families import sample_connected_graphs
 
 
 def _prepare(obj):
-    """Round every real to 12 significant digits, recursively."""
-    if isinstance(obj, bool) or isinstance(obj, int) or obj is None:
+    """Round every real to 12 significant digits and turn every int
+    subclass but bool into an int, recursively."""
+    if isinstance(obj, bool) or obj is None:
         return obj
+    if isinstance(obj, int):
+        return int(obj)
     if isinstance(obj, float):
         return _round_real(obj)
     if isinstance(obj, str):
@@ -99,13 +102,12 @@ class _Real(float):
 
 
 def _synthetic_report_with_subclasses():
-    """Subclasses of the exact types take the writer's fallback chain.  The
-    table writer prints an IntEnum by repr, so it is held to this report
-    only in JSON."""
+    """Subclasses of the exact types take the writers' fallback chains."""
     report = _synthetic_report()
     report["subclasses"] = {
         "enum": _Level.HIGH, "real": _Real(1 / 7),
         "list": [_Level.LOW, _Real(-0.0), _Real(1e300), _Real(1e13)],
+        "deep": [[_Level.HIGH, True, _Real(1 / 3)], (_Level.LOW, {"x": _Level.HIGH})],
         "mapping": OrderedDict([("b", _Real(2.5)), ("a", 1)]),
         "nested": OrderedDict([("b", {"a": _Real(0.1)}), ("a", ())]),
     }
@@ -138,7 +140,7 @@ def test_real_formatter_matches_rounding_route(x):
 
 
 def test_table_writer_matches_reference_on_synthetic_report():
-    report = _synthetic_report()
+    report = _synthetic_report_with_subclasses()
     assert render_report(report, "table") == _reference_table(report)
 
 
