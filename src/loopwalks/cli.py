@@ -307,15 +307,14 @@ def cmd_census(graph: SelfLoopGraph) -> tuple[dict, int]:
 
 
 def _verify_one(graph: SelfLoopGraph, chain_depth: int,
-                rst: Sequence[Sequence[float]],
-                cs_exponents: Sequence[float]) -> tuple[list[dict], str | None]:
+                rst: Sequence[Sequence[float]]) -> tuple[list[dict], str | None]:
     if not is_connected(graph):
         return [], "DisconnectedInput: connectivity hypotheses unmet; skipped"
     if graph.size < 1:
         return [], "HypothesisNotMet: the bounds assume at least one edge; skipped"
     records = [spectral.mcclelland_bound(graph)]
-    for p in cs_exponents:
-        for q in cs_exponents:
+    for p in _DEFAULT_CS_EXPONENTS:
+        for q in _DEFAULT_CS_EXPONENTS:
             if p <= q:
                 records.append(spectral.verify_cauchy_schwarz(graph, p, q))
     records.extend(spectral.verify_ratio_chain(graph, chain_depth))
@@ -326,14 +325,13 @@ def _verify_one(graph: SelfLoopGraph, chain_depth: int,
 def cmd_verify(labeled_graphs: Sequence[tuple[str, SelfLoopGraph]],
                chain_depth: int,
                rst: Sequence[Sequence[float]],
-               cs_exponents: Sequence[float] = _DEFAULT_CS_EXPONENTS,
                sampler_info: dict | None = None) -> tuple[dict, int]:
     """Evaluate every inequality on every graph; exit 1 on any violation."""
     results = []
     violations = 0
     skipped = 0
     for label, graph in labeled_graphs:
-        bounds, note = _verify_one(graph, chain_depth, rst, cs_exponents)
+        bounds, note = _verify_one(graph, chain_depth, rst)
         entry: dict = {"label": label, "graph": _graph_summary(graph)}
         if note is None:
             entry["bounds"] = bounds
@@ -345,7 +343,7 @@ def cmd_verify(labeled_graphs: Sequence[tuple[str, SelfLoopGraph]],
     report = {
         "chain_depth": chain_depth,
         "rst": [list(triple) for triple in rst],
-        "cs_exponents": list(cs_exponents),
+        "cs_exponents": list(_DEFAULT_CS_EXPONENTS),
         "results": results,
         "summary": {
             "graphs": len(results),
@@ -358,12 +356,12 @@ def cmd_verify(labeled_graphs: Sequence[tuple[str, SelfLoopGraph]],
     return report, 1 if violations else 0
 
 
-def cmd_generate(args: argparse.Namespace) -> tuple[str, SelfLoopGraph]:
-    """Build the requested family graph and its canonical file text."""
+def cmd_generate(args: argparse.Namespace) -> str:
+    """The canonical file text of the requested family graph."""
     spec = _family_spec_from_args(args)
     graph = generate(spec)
     comment = f"{spec.family} graph, order {graph.order}, {graph.sigma} loops"
-    return serialize_graph(graph, comment=comment), graph
+    return serialize_graph(graph, comment=comment)
 
 
 # The size flags each family constructor takes (every other family takes
@@ -487,7 +485,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "generate":
-        text, _ = cmd_generate(args)
+        text = cmd_generate(args)
         if args.output:
             Path(args.output).write_text(text, encoding="utf-8")
         else:

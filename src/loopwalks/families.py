@@ -114,18 +114,6 @@ class FamilySpec:
     # -- derived placement views --------------------------------------
 
     @property
-    def order(self) -> int:
-        if self.family in ("complete", "cycle", "path", "wheel", "star"):
-            return self.n
-        if self.family == "complete_bipartite":
-            return self.a + self.b
-        if self.family == "kneser":
-            return math.comb(2 * self.k + 1, self.k)
-        if self.family == "petersen":
-            return 10
-        raise InvalidSpec(f"unknown family {self.family!r}")
-
-    @property
     def sigma(self) -> int:
         return len(self.loops)
 

@@ -9,10 +9,13 @@ beyond the 1e-9 slack tolerance the bound records use.  Eigenvalues within
 that value, so solver noise never enters M_q as a spurious |noise|^q term
 and the printed spectrum does not depend on the solver's rounding.  The
 ``Spectrum`` reports the relative trace-identity residual for k = 1, 2 and
-the number of QL iterations taken.  Twisted moments are
-computed from the float spectrum while plain spectral moments come from
-exact integer traces of adjacency powers; the identities tying the two routes together
-act as the error detector.
+the number of QL iterations taken.  Twisted moments are computed from the
+float spectrum; the plain spectral moments M_0..M_4 are the order and the
+exact closed-walk counts of ``walk_counts``.  The trace identities
+sum lambda^k = tr A^k, checked against ``oracle.trace_power`` in the tests,
+are the error detector that ties the spectrum to the exact counts.  A
+twisted moment or a bound whose value overflows a float is refused with
+``SizeLimitExceeded`` naming the exponent.
 
 Each per-graph layer is computed once.  ``eigenvalues`` is the one
 solver entry point and always solves; every other function here reads the
@@ -37,7 +40,6 @@ from .errors import (ConstraintViolation, DisconnectedInput, HypothesisNotMet,
                      NegativeExponentUnsupported, NoConvergence,
                      SizeLimitExceeded)
 from .graph_core import SelfLoopGraph, adjacency_rows, is_connected
-from .oracle import trace_power
 from .walks import walk_counts
 
 _MAX_QL_ITERATIONS = 30  # per eigenvalue
@@ -71,8 +73,13 @@ class Spectrum:
         memo = self._twisted_memo
         value = memo.get(key)
         if value is None:
-            value = memo[key] = math.fsum(abs(lam - center) ** q
-                                          for lam in self.eigenvalues)
+            try:
+                value = memo[key] = math.fsum(abs(lam - center) ** q
+                                              for lam in self.eigenvalues)
+            except OverflowError:
+                raise SizeLimitExceeded(
+                    f"the twisted moment with exponent q={q:g} overflows "
+                    f"a float") from None
         return value
 
 
@@ -116,7 +123,7 @@ def eigenvalues(graph: SelfLoopGraph) -> Spectrum:
             f"the dense eigensolver is guarded to order <= {_MAX_DENSE_ORDER}; "
             f"got order {n}")
     values, iterations = _householder_ql(adjacency_rows(graph, 1.0))
-    spectrum = _snap(values, graph.sigma / n)
+    spectrum = _snap(values, _center(graph))
     return Spectrum(eigenvalues=spectrum,
                     residual=_trace_residual(graph, spectrum),
                     sweeps_used=iterations)
@@ -225,18 +232,16 @@ def _spectrum(graph: SelfLoopGraph) -> Spectrum:
     return eigenvalues(graph)
 
 
-def _center(graph: SelfLoopGraph, k: int = 1) -> float:
-    """M_k / n; for k = 1 the trace of A is the loop count sigma."""
-    return (graph.sigma if k == 1 else trace_power(graph, k)) / graph.order
+def _center(graph: SelfLoopGraph) -> float:
+    """sigma/n, the mean eigenvalue: the trace of A is the loop count."""
+    return graph.sigma / graph.order
 
 
-def twisted_moment(graph: SelfLoopGraph, q: float, k: int = 1) -> float:
-    """Sum of |eigenvalue - M_k/n|^q over the spectrum, with 0^0 = 1."""
+def twisted_moment(graph: SelfLoopGraph, q: float) -> float:
+    """Sum of |eigenvalue - sigma/n|^q over the spectrum, with 0^0 = 1."""
     if q < 0:
         raise NegativeExponentUnsupported(f"exponent must be >= 0, got {q}")
-    if k < 1:
-        raise ConstraintViolation(f"twisting moment index must be >= 1, got {k}")
-    return _spectrum(graph)._twisted(_center(graph, k), q)
+    return _spectrum(graph)._twisted(_center(graph), q)
 
 
 def energy(graph: SelfLoopGraph) -> float:
@@ -266,7 +271,7 @@ def m3_closed_form(graph: SelfLoopGraph) -> float:
 
 def _center_split(graph: SelfLoopGraph, spectrum: Spectrum) -> int:
     """Number of leading eigenvalues at or above sigma/n (1e-9 tie band)."""
-    center = graph.sigma / graph.order
+    center = _center(graph)
     return sum(1 for lam in spectrum.eigenvalues if lam >= center - _CENTER_TIE_TOL)
 
 
@@ -292,13 +297,18 @@ def _m3_closed_with_j(graph: SelfLoopGraph, spectrum: Spectrum, j: int) -> float
 
 
 def _le_record(name: str, lhs: float, rhs: float, tol_scale: float = 1.0) -> BoundRecord:
-    slack = rhs - lhs
-    return BoundRecord(name=name, lhs=lhs, rhs=rhs, slack=slack,
-                       holds=slack >= -_SLACK_TOL * tol_scale)
+    return _record(name, lhs, rhs, rhs - lhs, tol_scale)
 
 
 def _ge_record(name: str, lhs: float, rhs: float, tol_scale: float = 1.0) -> BoundRecord:
-    slack = lhs - rhs
+    return _record(name, lhs, rhs, lhs - rhs, tol_scale)
+
+
+def _record(name: str, lhs: float, rhs: float, slack: float,
+            tol_scale: float) -> BoundRecord:
+    """The record; refused when a product of finite moments overflowed."""
+    if not math.isfinite(slack):
+        raise SizeLimitExceeded(f"{name} overflows a float")
     return BoundRecord(name=name, lhs=lhs, rhs=rhs, slack=slack,
                        holds=slack >= -_SLACK_TOL * tol_scale)
 
@@ -396,22 +406,20 @@ def energy_lower_bounds(graph: SelfLoopGraph,
 
 
 def moment_report(graph: SelfLoopGraph,
-                  qs: Sequence[float] = (0.0, 1.0, 2.0, 3.0, 4.0),
-                  kmax: int = 4,
-                  rst_triples: Iterable[Sequence[float]] = ()) -> MomentReport:
-    """Bundle of the spectrum, exact moments, twisted moments, energy,
-    closed forms, and the standard bound evaluations (when the hypotheses
-    hold).  The spectrum comes first, so an order past the solver's guard
-    is refused before any other work."""
+                  qs: Sequence[float] = (0.0, 1.0, 2.0, 3.0, 4.0)) -> MomentReport:
+    """Bundle of the spectrum, exact moments M_0..M_4 (the order and the
+    closed-walk counts), twisted moments, energy, closed forms, and the
+    standard bound evaluations (when the hypotheses hold).  The spectrum
+    comes first, so an order past the solver's guard is refused before any
+    other work."""
     spectrum = _spectrum(graph)
-    exact = tuple(trace_power(graph, k) for k in range(kmax + 1))
+    wc = walk_counts(graph)
     twisted = tuple((float(q), twisted_moment(graph, q)) for q in qs)
     bounds: tuple[BoundRecord, ...] = ()
     if is_connected(graph) and graph.size >= 1:
-        bounds = (mcclelland_bound(graph),
-                  *energy_lower_bounds(graph, rst_triples))
+        bounds = (mcclelland_bound(graph), *energy_lower_bounds(graph))
     return MomentReport(spectrum=spectrum,
-                        spectral_moments=exact,
+                        spectral_moments=(graph.order, wc.w1, wc.w2, wc.w3, wc.w4),
                         twisted=twisted,
                         energy=energy(graph),
                         m3_closed=m3_closed_form(graph),

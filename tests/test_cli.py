@@ -200,8 +200,8 @@ def test_moments_closed_form_tolerance_scales_with_magnitude(
     from loopwalks import spectral
     direct = spectral.twisted_moment
 
-    def shifted(graph, q, k=1):
-        return direct(graph, q, k) * (1.0 + offset)
+    def shifted(graph, q):
+        return direct(graph, q) * (1.0 + offset)
 
     path = tmp_path / "k30.txt"
     assert main(["generate", "--family", "complete", "--n", "30",
@@ -231,7 +231,6 @@ def test_moments_refuses_an_order_past_the_solver_guard(monkeypatch, tmp_path, c
         raise AssertionError("work done past the order guard")
 
     monkeypatch.setattr(spectral, "adjacency_rows", not_reached)
-    monkeypatch.setattr(spectral, "trace_power", not_reached)
     monkeypatch.setattr(oracle, "matrix_power_diagonal", not_reached)
     monkeypatch.setattr(walks, "subgraph_census", not_reached)
     spectral._spectrum.cache_clear()
@@ -361,6 +360,22 @@ def test_moments_rejects_non_finite_exponents(k4_file, capsys):
 
 def test_verify_rejects_non_finite_rst(k4_file, capsys):
     _assert_input_error(capsys, ["verify", k4_file, "--rst", "nan,0,2"], "nan")
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["moments", "--q", "400"], "q=400"),
+    (["verify", "--chain-depth", "400"], "overflows a float"),
+    # M_148^2 and M_295^2 overflow although each moment is finite
+    (["verify", "--rst", "148,295,295"], "r=148,s=295,t=295"),
+    (["verify", "--rst", "149,297,297"], "q=297"),
+])
+def test_exponent_past_float_range_is_input_error(tmp_path, capsys, argv, named):
+    # K_12 with two loops: |lambda - sigma/n| reaches about 11, and 11^296
+    # is past the largest float
+    path = tmp_path / "k12.txt"
+    assert main(["generate", "--family", "complete", "--n", "12",
+                 "--loops", "0,1", "-o", str(path)]) == 0
+    _assert_input_error(capsys, [argv[0], str(path), *argv[1:]], named)
 
 
 @pytest.mark.parametrize("count", ["0", "-1"])

@@ -66,3 +66,11 @@ def test_import_scan_sees_every_form():
                      "import loopwalks.spectral\nfrom loopwalks import census\n"
                      "from loopwalks.errors import y\nimport itertools\n")
     assert _package_imports(tree) == {"oracle", "walks", "spectral", "census", "errors"}
+
+
+def test_only_the_cli_and_the_package_root_import_the_oracle():
+    # the trace and enumeration routes are checks: no production layer
+    # may take its results from them
+    importers = {path.stem for path in _PACKAGE.glob("*.py")
+                 if "oracle" in _package_imports(_tree(path.stem))}
+    assert importers == {"cli", "__init__"}

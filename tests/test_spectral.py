@@ -290,8 +290,8 @@ def test_twisted_memo_is_keyed_by_center():
     g = build(4, [(0, 1), (1, 2), (2, 3)], [0, 1])
     _spectrum.cache_clear()
     by_sigma = twisted_moment(g, 2.0)       # center sigma/n = 0.5
-    by_m2 = twisted_moment(g, 2.0, k=2)     # center M_2/n = 8/4
     spec = _spectrum(g)
+    by_m2 = spec._twisted(2.0, 2.0)         # a second center, 2.0
     assert by_sigma == _fresh_twisted(spec, 0.5, 2.0)
     assert by_m2 == _fresh_twisted(spec, 2.0, 2.0)
     assert by_m2 != by_sigma
@@ -306,16 +306,6 @@ def test_twisted_memo_is_keyed_by_center():
 def test_caller_faults_raise_package_errors(k4_three_loops):
     with pytest.raises(LoopwalksError):
         verify_ratio_chain(k4_three_loops, 0)
-    with pytest.raises(LoopwalksError):
-        twisted_moment(k4_three_loops, 1.0, k=0)
-
-
-def test_twisted_higher_k_centering():
-    g = build(3, [(0, 1), (1, 2)], [0])
-    center = trace_power(g, 2) / 3
-    spec = eigenvalues(g)
-    expected = math.fsum(abs(x - center) for x in spec.eigenvalues)
-    assert twisted_moment(g, 1.0, k=2) == pytest.approx(expected, abs=1e-12)
 
 
 def test_energy_k2_classical():
