@@ -6,21 +6,19 @@ from .census import (SubgraphCensus, four_cycle_census, loop_boundary,
 from .errors import (ConstraintViolation, DisconnectedInput, DuplicateEdge,
                      GraphBuildError, HypothesisNotMet, IndexOutOfRange,
                      InvalidLoopPlacement, InvalidSpec, LoopwalksError,
-                     NegativeExponentUnsupported, NoConvergence,
-                     NotAPathOrCycle, ParseError, SamplerExhausted,
-                     SelfPairInEdgeList, SizeLimitExceeded,
+                     NegativeExponentUnsupported, NoConvergence, ParseError,
+                     SamplerExhausted, SelfPairInEdgeList, SizeLimitExceeded,
                      UnsupportedFamily)
 from .families import FamilySpec, enumerate_all_graphs, generate
 from .graph_core import (AdjacencyMatrix, SelfLoopGraph, adjacency, build,
                          is_connected)
-from .graphio import load_graph, parse_graph, save_graph, serialize_graph
+from .graphio import load_graph, parse_graph, serialize_graph
 from .oracle import WalkEnumeration, enumerate_closed_walks, trace_power
 from .spectral import (BoundRecord, MomentReport, Spectrum, eigenvalues,
                        energy, energy_lower_bounds, m3_closed_form,
                        m4_closed_form, mcclelland_bound, moment_report,
                        twisted_moment, verify_cauchy_schwarz,
                        verify_ratio_chain)
-from .walks import (PathLoopProfile, WalkCounts, closed_form_w3,
-                    closed_form_w4, path_loop_profile, walk_counts)
+from .walks import WalkCounts, closed_form_w3, closed_form_w4, walk_counts
 
 __version__ = "0.1.0"

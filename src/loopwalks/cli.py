@@ -46,7 +46,7 @@ from .oracle import trace_power
 from .walks import walk_counts
 
 _CLOSED_FORM_TOL = 1e-7
-_DEFAULT_CS_EXPONENTS = (0.0, 0.5, 1.0, 1.5, 2.0, 3.0)
+_DEFAULT_CS_EXPONENTS = spectral._DEFAULT_CS_EXPONENTS
 _DEFAULT_RST = ((1.0, 0.0, 2.0), (1.5, 2.0, 2.0), (2.0, 3.0, 3.0))
 
 
@@ -312,14 +312,9 @@ def _verify_one(graph: SelfLoopGraph, chain_depth: int,
         return [], "DisconnectedInput: connectivity hypotheses unmet; skipped"
     if graph.size < 1:
         return [], "HypothesisNotMet: the bounds assume at least one edge; skipped"
-    records = [spectral.mcclelland_bound(graph)]
-    for p in _DEFAULT_CS_EXPONENTS:
-        for q in _DEFAULT_CS_EXPONENTS:
-            if p <= q:
-                records.append(spectral.verify_cauchy_schwarz(graph, p, q))
-    records.extend(spectral.verify_ratio_chain(graph, chain_depth))
-    records.extend(spectral.energy_lower_bounds(graph, rst))
-    return [record.as_dict() for record in records], None
+    rows = [spectral.mcclelland_bound(graph).as_dict()]
+    rows += spectral._bound_rows(graph, chain_depth, rst)
+    return rows, None
 
 
 def cmd_verify(labeled_graphs: Sequence[tuple[str, SelfLoopGraph]],
@@ -513,6 +508,10 @@ def _verify_from_args(args: argparse.Namespace) -> tuple[dict, int]:
             raise LoopwalksError(f"--rst expects three numbers, got {triple}")
     _require(args.chain_depth >= 1,
              f"--chain-depth must be >= 1, got {args.chain_depth}")
+    if args.chain_depth > spectral._MAX_CHAIN_DEPTH:
+        raise SizeLimitExceeded(
+            f"--chain-depth must be <= {spectral._MAX_CHAIN_DEPTH}, the ratio "
+            f"chain's guard, got {args.chain_depth}")
     labeled: list[tuple[str, SelfLoopGraph]] = []
     sampler_info = None
     if args.sample is not None:

@@ -38,10 +38,6 @@ class InvalidLoopPlacement(LoopwalksError, ValueError):
     branch conditions."""
 
 
-class NotAPathOrCycle(LoopwalksError, ValueError):
-    """The graph is neither a path nor a cycle."""
-
-
 class NoConvergence(LoopwalksError, RuntimeError):
     """The eigensolver failed to converge; indicates a bug, not bad input."""
 

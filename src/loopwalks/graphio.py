@@ -73,8 +73,3 @@ def serialize_graph(graph: SelfLoopGraph, comment: str | None = None) -> str:
 
 def load_graph(path: str | Path) -> SelfLoopGraph:
     return parse_graph(Path(path).read_text(encoding="utf-8"))
-
-
-def save_graph(graph: SelfLoopGraph, path: str | Path,
-               comment: str | None = None) -> None:
-    Path(path).write_text(serialize_graph(graph, comment), encoding="utf-8")

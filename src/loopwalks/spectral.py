@@ -23,9 +23,23 @@ spectrum through a private memo of the last graph asked for, so the checks
 on one graph share one solve without the caller passing it along.  Each
 twisted moment M_q = sum |eigenvalue - center|^q is computed once per
 (spectrum, center, exponent): the ``Spectrum`` memoises the correctly
-rounded sums, so the energy, Cauchy-Schwarz, ratio-chain and energy
-lower-bound checks on one graph share them.  The center sigma/n is read
-from the graph itself, not from a trace.
+rounded sums in one mapping per center, so the energy, Cauchy-Schwarz,
+ratio-chain and energy lower-bound checks on one graph share them.  The
+center sigma/n is read from the graph itself, not from a trace.
+
+The bounds are evaluated once per graph.  Each inequality has one row
+builder, which returns the dict a report holds; ``_bound_rows`` gives
+``verify`` every row of a graph in one pass, with names taken from caches
+keyed by the exponents or the chain depth, and the public
+``verify_cauchy_schwarz``, ``verify_ratio_chain``, ``energy_lower_bounds``
+and ``mcclelland_bound`` wrap the same rows in ``BoundRecord``s.  A row
+holds when its slack passes the tolerance (1e-9, scaled by the ratios on
+the ratio chain).  The Cauchy-Schwarz and Hoelder rows on the deviations
+|lambda - sigma/n| (McClelland, the Cauchy-Schwarz grid, the ratio chain,
+the moment and (r, s, t) energy bounds) are equalities exactly when the
+nonzero deviations are all equal, and none is zero if the row uses M_0;
+such a row whose slack fails the tolerance still holds when an exact
+integer certificate proves that equality.
 """
 
 from __future__ import annotations
@@ -33,7 +47,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Sequence
 
 from .errors import (ConstraintViolation, DisconnectedInput, HypothesisNotMet,
@@ -51,36 +65,59 @@ _SNAP_TOL = 1e-10
 _SLACK_TOL = 1e-9
 _POSITIVITY_FLOOR = 1e-12
 _CENTER_TIE_TOL = 1e-9
+# the p and q of the Cauchy-Schwarz rows ``verify`` reports
+_DEFAULT_CS_EXPONENTS = (0.0, 0.5, 1.0, 1.5, 2.0, 3.0)
+# M_q past q = 1024 overflows unless every deviation |lambda - sigma/n| is
+# below 2; a ratio chain on K_2 at depth 1024 takes 0.03 s (see CHANGES.md)
+_MAX_CHAIN_DEPTH = 1024
+
+
+class _Moments(dict):
+    """The twisted moments M_q = sum |eigenvalue - center|^q, with 0^0 = 1,
+    of one spectrum about one center, keyed by q: each is summed on its
+    first read and is a plain dict item after that."""
+
+    __slots__ = ("_deviations",)
+
+    def __init__(self, eigenvalues: Iterable[float], center: float):
+        super().__init__()
+        self._deviations = [abs(lam - center) for lam in eigenvalues]
+
+    def __missing__(self, q: float) -> float:
+        try:
+            value = self[q] = math.fsum([d ** q for d in self._deviations])
+        except OverflowError:
+            raise SizeLimitExceeded(
+                f"the twisted moment with exponent q={q:g} overflows "
+                f"a float") from None
+        return value
 
 
 @dataclass(frozen=True)
 class Spectrum:
     """Eigenvalues sorted non-increasingly, plus solver diagnostics.
 
-    Twisted moments computed from it are memoised per (center, exponent);
-    the memo takes no part in comparison, hashing or repr.
+    Twisted moments computed from it are memoised per center, then per
+    exponent; the memo takes no part in comparison, hashing or repr.
     """
 
     eigenvalues: tuple[float, ...]
     residual: float
     sweeps_used: int
-    _twisted_memo: dict[tuple[float, float], float] = field(
+    _twisted_memo: dict[float, _Moments] = field(
         default_factory=dict, init=False, compare=False, repr=False)
+
+    def _moments(self, center: float) -> _Moments:
+        """The twisted moments about ``center``, as a mapping from q."""
+        moments = self._twisted_memo.get(center)
+        if moments is None:
+            moments = self._twisted_memo[center] = _Moments(self.eigenvalues,
+                                                            center)
+        return moments
 
     def _twisted(self, center: float, q: float) -> float:
         """Sum of |eigenvalue - center|^q, with 0^0 = 1, computed once."""
-        key = (center, q)
-        memo = self._twisted_memo
-        value = memo.get(key)
-        if value is None:
-            try:
-                value = memo[key] = math.fsum(abs(lam - center) ** q
-                                              for lam in self.eigenvalues)
-            except OverflowError:
-                raise SizeLimitExceeded(
-                    f"the twisted moment with exponent q={q:g} overflows "
-                    f"a float") from None
-        return value
+        return self._moments(center)[q]
 
 
 @dataclass(frozen=True)
@@ -96,6 +133,15 @@ class BoundRecord:
     def as_dict(self) -> dict:
         return {"name": self.name, "lhs": self.lhs, "rhs": self.rhs,
                 "slack": self.slack, "holds": self.holds}
+
+    @classmethod
+    def _of(cls, row: dict) -> BoundRecord:
+        """The record of a row from the row builders, whose keys are the
+        fields in order: filled in one step, without the frozen init's
+        ``object.__setattr__`` per field."""
+        record = object.__new__(cls)
+        record.__dict__.update(row)
+        return record
 
 
 @dataclass(frozen=True)
@@ -294,23 +340,183 @@ def _m3_closed_with_j(graph: SelfLoopGraph, spectrum: Spectrum, j: int) -> float
 
 
 # -- bound records ------------------------------------------------------
+#
+# Each inequality has one row builder, which evaluates it into the
+# {"name", "lhs", "rhs", "slack", "holds"} dict a report holds.  ``verify``
+# takes all rows of a graph from ``_bound_rows`` in one pass, reading the
+# spectrum, the center and each twisted moment once; the public functions
+# below wrap the same builders' rows in ``BoundRecord``s.
 
 
-def _le_record(name: str, lhs: float, rhs: float, tol_scale: float = 1.0) -> BoundRecord:
-    return _record(name, lhs, rhs, rhs - lhs, tol_scale)
-
-
-def _ge_record(name: str, lhs: float, rhs: float, tol_scale: float = 1.0) -> BoundRecord:
-    return _record(name, lhs, rhs, lhs - rhs, tol_scale)
-
-
-def _record(name: str, lhs: float, rhs: float, slack: float,
-            tol_scale: float) -> BoundRecord:
-    """The record; refused when a product of finite moments overflowed."""
-    if not math.isfinite(slack):
+def _row(graph: SelfLoopGraph, name: str, lhs: float, rhs: float,
+         slack: float, tol: float, uses_m0: bool | None) -> dict:
+    """The row of one inequality; refused when a product of finite moments
+    overflowed.  It holds when slack >= -tol.  ``uses_m0`` is None unless
+    the inequality is Cauchy-Schwarz or Hoelder on the deviations
+    |lambda - sigma/n|; such a row whose slack fails the tolerance still
+    holds when ``_equal_deviations`` proves it an equality, which needs the
+    nonzero deviations all equal and, if it uses M_0 = n, none zero."""
+    if not -math.inf < slack < math.inf:
         raise SizeLimitExceeded(f"{name} overflows a float")
-    return BoundRecord(name=name, lhs=lhs, rhs=rhs, slack=slack,
-                       holds=slack >= -_SLACK_TOL * tol_scale)
+    holds = slack >= -tol
+    if not holds and uses_m0 is not None:
+        flat, zero_free = _equal_deviations(graph)
+        holds = flat and (zero_free or not uses_m0)
+    return {"name": name, "lhs": lhs, "rhs": rhs, "slack": slack, "holds": holds}
+
+
+@functools.lru_cache(maxsize=1)
+def _equal_deviations(graph: SelfLoopGraph) -> tuple[bool, bool]:
+    """Whether the nonzero deviations |lambda - sigma/n| of a graph with an
+    edge are all equal, and whether, besides, none is zero; decided in
+    exact integers, without the spectrum.
+
+    B = nA - sigma I has the eigenvalues n (lambda - sigma/n), and C = B^2
+    their squares, so the nonzero deviations are all equal iff
+    tr(C) BC = tr(C^2) B, and none is zero iff also tr(C)^2 = n tr(C^2).
+    C_ij = n^2 (A^2)_ij - 2 n sigma A_ij + sigma^2 [i = j], where (A^2)_ij
+    is the popcount of bit rows i and j.  Cost: O(n^2) popcounts and
+    O(n (2m + sigma)) additions for BC, so it runs only for a row whose
+    slack fails the tolerance, once per graph.
+    """
+    n = graph.order
+    sigma = graph.sigma
+    loop_set = graph.loop_set
+    # row i of A: its neighbors, and i itself when looped
+    members = [(*nbrs, i) if i in loop_set else nbrs
+               for i, nbrs in enumerate(graph.neighbors)]
+    bits = [mask | (graph.loop_mask & (1 << i))
+            for i, mask in enumerate(graph.neighbor_masks)]
+    nn = n * n
+    c = [[nn * (row & other).bit_count() for other in bits] for row in bits]
+    for i, row in enumerate(c):
+        for k in members[i]:
+            row[k] -= 2 * n * sigma
+        row[i] += sigma * sigma
+    trace = sum(c[i][i] for i in range(n))
+    trace_sq = sum(x * x for row in c for x in row)  # C is symmetric
+    for i, row in enumerate(c):
+        ac = [0] * n  # row i of AC
+        for k in members[i]:
+            ac = list(map(add, ac, c[k]))
+        b = [0] * n  # row i of B
+        for k in members[i]:
+            b[k] = n
+        b[i] -= sigma
+        if any(trace * (n * x - sigma * y) != trace_sq * z
+               for x, y, z in zip(ac, row, b)):
+            return False, False
+    return True, trace * trace == n * trace_sq
+
+
+@functools.lru_cache(maxsize=256)
+def _cs_term(p: float, q: float) -> tuple[str, float, float, float, bool]:
+    """(name, q, 2q - 2p, 2p, whether M_0 is used) of the Cauchy-Schwarz
+    row at (p, q)."""
+    return (f"cauchy_schwarz[p={p:g},q={q:g}]", q, 2 * q - 2 * p, 2 * p,
+            p == 0 or p == q)
+
+
+@functools.cache
+def _cs_grid() -> tuple[tuple[str, float, float, float, bool], ...]:
+    """The terms of the Cauchy-Schwarz rows over every p <= q of
+    ``_DEFAULT_CS_EXPONENTS``."""
+    grid = _DEFAULT_CS_EXPONENTS
+    return tuple(_cs_term(p, q) for p in grid for q in grid if p <= q)
+
+
+def _cs_rows(graph: SelfLoopGraph, moments: _Moments,
+             terms: Iterable[tuple]) -> list[dict]:
+    """M_q^2 <= M_{2q-2p} * M_{2p} for each term."""
+    rows = []
+    for name, q, a, b, uses_m0 in terms:
+        mq = moments[q]
+        lhs = mq * mq
+        rhs = moments[a] * moments[b]
+        rows.append(_row(graph, name, lhs, rhs, rhs - lhs, _SLACK_TOL, uses_m0))
+    return rows
+
+
+@functools.lru_cache(maxsize=16)
+def _chain_names(depth: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The positivity names for q = 0..depth and the ratio-chain names for
+    q = 1..depth-1; ``_MAX_CHAIN_DEPTH`` bounds their length."""
+    return (tuple(f"twisted_positive[q={i}]" for i in range(depth + 1)),
+            tuple(f"ratio_chain[q={i}]" for i in range(1, depth)))
+
+
+def _chain_rows(graph: SelfLoopGraph, moments: _Moments,
+                depth: int) -> list[dict]:
+    """Positivity of M_0..M_depth, then M_{q-1} M_{q+1} >= M_q^2 as the
+    ratios M_q/M_{q-1} <= M_{q+1}/M_q, whose tolerance scales with them."""
+    positive_names, ratio_names = _chain_names(depth)
+    moments = [moments[i] for i in range(depth + 1)]
+    rows = [{"name": name, "lhs": value, "rhs": 0.0, "slack": value,
+             "holds": value > _POSITIVITY_FLOOR}
+            for name, value in zip(positive_names, moments)]
+    for i, name in enumerate(ratio_names, 1):
+        lo = moments[i] / moments[i - 1]
+        hi = moments[i + 1] / moments[i]
+        rows.append(_row(graph, name, lo, hi, hi - lo,
+                         _SLACK_TOL * max(1.0, abs(lo), abs(hi)), i == 1))
+    return rows
+
+
+@functools.lru_cache(maxsize=256)
+def _rst_name(r: float, s: float, t: float) -> str:
+    return f"energy_lb_rst[r={r:g},s={s:g},t={t:g}]"
+
+
+def _energy_rows(graph: SelfLoopGraph, spec: Spectrum, center: float,
+                 rst_triples: Iterable[Sequence[float]]) -> list[dict]:
+    """The energy and moment lower bounds, then one row per (r, s, t)."""
+    n = graph.order
+    m = graph.size
+    moments = spec._moments(center)
+    total_energy = moments[1.0]
+    # d * d is the correctly rounded square; d ** 2 goes through libm's pow
+    # and can differ in the last bit, so this sum stays outside the memo
+    m2 = math.fsum((lam - center) * (lam - center) for lam in spec.eigenvalues)
+    m3 = moments[3]
+    m4 = moments[4]
+    rows = []
+    # Hoelder: M_2^3 <= E^2 M_4
+    for name, lhs, rhs, uses_m0 in (
+            ("energy_lb_moments", total_energy, math.sqrt(m2 ** 3 / m4), False),
+            ("energy_lb_edge_density", total_energy, 4.0 * m / n, None),
+            ("m3_lb_edge_density", m3, 64.0 * m ** 3 / n ** 5, None),
+            ("m4_lb_edge_density", m4, 256.0 * m ** 4 / n ** 7, None)):
+        rows.append(_row(graph, name, lhs, rhs, lhs - rhs, _SLACK_TOL, uses_m0))
+    for triple in rst_triples:
+        r, s, t = (float(x) for x in triple)
+        if min(r, s, t) < 0:
+            raise NegativeExponentUnsupported(
+                f"rst exponents must be >= 0, got {triple}")
+        if abs(4.0 * r - (s + t + 2.0)) > 1e-12:
+            raise ConstraintViolation(
+                f"need 4r = s + t + 2, got r={r:g}, s={s:g}, t={t:g}")
+        mr = moments[r]
+        rhs = mr * mr / math.sqrt(moments[s] * moments[t])
+        # Hoelder with exponents (2, 4, 4): M_r^2 <= E sqrt(M_s M_t)
+        rows.append(_row(graph, _rst_name(r, s, t), total_energy, rhs,
+                         total_energy - rhs, _SLACK_TOL, s == 0 or t == 0))
+    return rows
+
+
+def _bound_rows(graph: SelfLoopGraph, chain_depth: int,
+                rst: Iterable[Sequence[float]]) -> list[dict]:
+    """Every row ``verify`` reports after McClelland's, in its order: the
+    Cauchy-Schwarz grid, the ratio chain to ``chain_depth`` and the energy
+    lower bounds with ``rst``.  For a connected graph with an edge, which
+    the caller has checked."""
+    _require_chain_depth(chain_depth)
+    spec = _spectrum(graph)
+    center = _center(graph)
+    moments = spec._moments(center)
+    rows = _cs_rows(graph, moments, _cs_grid())
+    rows += _chain_rows(graph, moments, chain_depth)
+    rows += _energy_rows(graph, spec, center, rst)
+    return rows
 
 
 def verify_cauchy_schwarz(graph: SelfLoopGraph, p: float, q: float) -> BoundRecord:
@@ -320,21 +526,27 @@ def verify_cauchy_schwarz(graph: SelfLoopGraph, p: float, q: float) -> BoundReco
             f"exponents must be >= 0, got p={p}, q={q}")
     if p > q:
         raise ConstraintViolation(f"need p <= q, got p={p}, q={q}")
-    spec = _spectrum(graph)
-    center = _center(graph)
-    mq = spec._twisted(center, q)
-    m_2q2p = spec._twisted(center, 2 * q - 2 * p)
-    m_2p = spec._twisted(center, 2 * p)
-    return _le_record(f"cauchy_schwarz[p={p:g},q={q:g}]", mq * mq, m_2q2p * m_2p)
+    moments = _spectrum(graph)._moments(_center(graph))
+    return BoundRecord._of(_cs_rows(graph, moments, (_cs_term(p, q),))[0])
 
 
 def mcclelland_bound(graph: SelfLoopGraph) -> BoundRecord:
-    """Energy upper bound sqrt(n (2m + sigma - sigma^2/n)), from graph data."""
+    """Energy upper bound sqrt(n (2m + sigma - sigma^2/n)), from graph data:
+    Cauchy-Schwarz E^2 <= M_0 M_2, with M_2 = 2m + sigma - sigma^2/n."""
     n = graph.order
     sigma = graph.sigma
     total_energy = energy(graph)
     rhs = math.sqrt(n * (2 * graph.size + sigma - sigma * sigma / n))
-    return _le_record("mcclelland", total_energy, rhs)
+    return BoundRecord._of(_row(graph, "mcclelland", total_energy, rhs,
+                                rhs - total_energy, _SLACK_TOL, True))
+
+
+def _require_chain_depth(depth: int) -> None:
+    if depth < 1:
+        raise ConstraintViolation(f"chain depth must be >= 1, got {depth}")
+    if depth > _MAX_CHAIN_DEPTH:
+        raise SizeLimitExceeded(
+            f"chain depth must be <= {_MAX_CHAIN_DEPTH}, got {depth}")
 
 
 def _require_bound_hypotheses(graph: SelfLoopGraph) -> None:
@@ -347,24 +559,10 @@ def _require_bound_hypotheses(graph: SelfLoopGraph) -> None:
 def verify_ratio_chain(graph: SelfLoopGraph, q_max: int) -> list[BoundRecord]:
     """Positivity of the twisted moments up to q_max and the monotone
     ratio chain M_1/M_0 <= M_2/M_1 <= ... (relative 1e-9 tolerance)."""
-    if q_max < 1:
-        raise ConstraintViolation(f"chain depth must be >= 1, got {q_max}")
+    _require_chain_depth(q_max)
     _require_bound_hypotheses(graph)
-    spec = _spectrum(graph)
-    center = _center(graph)
-    moments = [spec._twisted(center, i) for i in range(q_max + 1)]
-    records = []
-    for i, value in enumerate(moments):
-        records.append(BoundRecord(
-            name=f"twisted_positive[q={i}]", lhs=value, rhs=0.0, slack=value,
-            holds=value > _POSITIVITY_FLOOR))
-    for i in range(1, q_max):
-        ratio_lo = moments[i] / moments[i - 1]
-        ratio_hi = moments[i + 1] / moments[i]
-        scale = max(1.0, abs(ratio_lo), abs(ratio_hi))
-        records.append(_le_record(f"ratio_chain[q={i}]", ratio_lo, ratio_hi,
-                                  tol_scale=scale))
-    return records
+    moments = _spectrum(graph)._moments(_center(graph))
+    return [BoundRecord._of(row) for row in _chain_rows(graph, moments, q_max)]
 
 
 def energy_lower_bounds(graph: SelfLoopGraph,
@@ -372,37 +570,8 @@ def energy_lower_bounds(graph: SelfLoopGraph,
     """Lower bounds on energy and on the third/fourth twisted moments,
     plus one record per caller-supplied (r, s, t) with 4r = s + t + 2."""
     _require_bound_hypotheses(graph)
-    spec = _spectrum(graph)
-    center = _center(graph)
-    n = graph.order
-    m = graph.size
-    total_energy = spec._twisted(center, 1.0)
-    # d * d is the correctly rounded square; d ** 2 goes through libm's pow
-    # and can differ in the last bit, so this sum stays outside the memo
-    m2 = math.fsum((lam - center) * (lam - center) for lam in spec.eigenvalues)
-    m3 = spec._twisted(center, 3)
-    m4 = spec._twisted(center, 4)
-    records = [
-        _ge_record("energy_lb_moments", total_energy, math.sqrt(m2 ** 3 / m4)),
-        _ge_record("energy_lb_edge_density", total_energy, 4.0 * m / n),
-        _ge_record("m3_lb_edge_density", m3, 64.0 * m ** 3 / n ** 5),
-        _ge_record("m4_lb_edge_density", m4, 256.0 * m ** 4 / n ** 7),
-    ]
-    for triple in rst_triples:
-        r, s, t = (float(x) for x in triple)
-        if min(r, s, t) < 0:
-            raise NegativeExponentUnsupported(
-                f"rst exponents must be >= 0, got {triple}")
-        if abs(4.0 * r - (s + t + 2.0)) > 1e-12:
-            raise ConstraintViolation(
-                f"need 4r = s + t + 2, got r={r:g}, s={s:g}, t={t:g}")
-        mr = spec._twisted(center, r)
-        ms = spec._twisted(center, s)
-        mt = spec._twisted(center, t)
-        records.append(_ge_record(
-            f"energy_lb_rst[r={r:g},s={s:g},t={t:g}]",
-            total_energy, mr * mr / math.sqrt(ms * mt)))
-    return records
+    rows = _energy_rows(graph, _spectrum(graph), _center(graph), rst_triples)
+    return [BoundRecord._of(row) for row in rows]
 
 
 def moment_report(graph: SelfLoopGraph,

@@ -13,9 +13,9 @@ import functools
 from dataclasses import dataclass
 
 from .census import SubgraphCensus, subgraph_census
-from .errors import InvalidLoopPlacement, NotAPathOrCycle, UnsupportedFamily
+from .errors import InvalidLoopPlacement, UnsupportedFamily
 from .families import FamilySpec
-from .graph_core import SelfLoopGraph, is_connected
+from .graph_core import SelfLoopGraph
 
 
 @dataclass(frozen=True)
@@ -26,22 +26,6 @@ class WalkCounts:
     w2: int
     w3: int
     w4: int
-
-
-@dataclass(frozen=True)
-class PathLoopProfile:
-    """Loop-placement statistics along a path or cycle.
-
-    ``run_count`` is the number of maximal blocks of two or more
-    consecutive looped vertices; ``sigma_na`` counts looped vertices with
-    no looped neighbor.  On a path, ``sigma_e``/``sigma_ne`` split the
-    loops by endpoint status; cycles have no endpoints so sigma_e is 0.
-    """
-
-    sigma_e: int
-    sigma_ne: int
-    run_count: int
-    sigma_na: int
 
 
 @functools.lru_cache(maxsize=1)
@@ -193,46 +177,3 @@ def _loop_blocks(flags: list[bool], cyclic: bool) -> tuple[int, int]:
                 runs += 1
             length = 0
     return runs, isolated
-
-
-def path_loop_profile(graph: SelfLoopGraph) -> PathLoopProfile:
-    """Loop-run statistics of a graph that is a path or a cycle."""
-    layout, cyclic = _linear_layout(graph)
-    loop_set = graph.loop_set
-    flags = [v in loop_set for v in layout]
-    if cyclic:
-        sigma_e = 0
-    elif len(layout) == 1:
-        sigma_e = int(flags[0])
-    else:
-        sigma_e = int(flags[0]) + int(flags[-1])
-    runs, isolated = _loop_blocks(flags, cyclic=cyclic)
-    return PathLoopProfile(sigma_e=sigma_e,
-                           sigma_ne=graph.sigma - sigma_e,
-                           run_count=runs,
-                           sigma_na=isolated)
-
-
-def _linear_layout(graph: SelfLoopGraph) -> tuple[list[int], bool]:
-    n = graph.order
-    degrees = graph.degrees
-    if graph.size == n - 1 and all(d <= 2 for d in degrees) and is_connected(graph):
-        if n == 1:
-            return [0], False
-        start = min(v for v in range(n) if degrees[v] == 1)
-        return _walk_layout(graph, start), False
-    if n >= 3 and graph.size == n and all(d == 2 for d in degrees) and is_connected(graph):
-        return _walk_layout(graph, 0), True
-    raise NotAPathOrCycle(
-        f"graph with order {n}, size {graph.size} is neither a path nor a cycle")
-
-
-def _walk_layout(graph: SelfLoopGraph, start: int) -> list[int]:
-    layout = [start]
-    previous = -1
-    current = start
-    for _ in range(graph.order - 1):
-        step = next(w for w in graph.neighbors[current] if w != previous)
-        layout.append(step)
-        previous, current = current, step
-    return layout

@@ -22,6 +22,7 @@ from loopwalks import (FamilySpec, build, closed_form_w3, closed_form_w4,
 from loopwalks.cli import main
 from loopwalks.families import sample_connected_graphs
 from loopwalks.errors import InvalidLoopPlacement
+from loopwalks import spectral
 from loopwalks.spectral import BoundRecord
 
 CS_GRID = (0.0, 0.5, 1.0, 1.5, 2.0, 3.0)
@@ -187,6 +188,8 @@ def test_criterion_6_equality_cases():
                 m2 = twisted_moment(g, 2.0)
                 m4 = twisted_moment(g, 4.0)
                 assert abs(e * e - m2 ** 3 / m4) < 1e-7, (a, b, hat)
+                # the nonzero deviations are all equal, in exact integers
+                assert spectral._equal_deviations(g)[0], (a, b, hat)
 
     hat22 = generate(FamilySpec.complete_bipartite(2, 2, sigma_a=2, sigma_b=2))
     assert energy(hat22) == pytest.approx(4.0, abs=1e-9)

@@ -426,6 +426,66 @@ def test_verify_refuses_n_range_past_the_solver_guard(monkeypatch, capsys):
                                  f"{hi},{hi}"], "--n-range")
 
 
+def test_verify_refuses_chain_depth_past_the_guard(monkeypatch, tmp_path, capsys):
+    # refused before the sampler draws or any spectrum is solved
+    from loopwalks import cli
+
+    def not_reached(*args):
+        raise AssertionError("sampled or solved past the chain-depth guard")
+
+    monkeypatch.setattr(cli, "sample_connected_graphs", not_reached)
+    monkeypatch.setattr(spectral, "eigenvalues", not_reached)
+    path = tmp_path / "k2.txt"
+    path.write_text("n 2\ne 0 1\n")
+    depth = str(spectral._MAX_CHAIN_DEPTH + 1)
+    _assert_input_error(capsys, ["verify", "--sample", "1", "--chain-depth", depth],
+                        "--chain-depth")
+    _assert_input_error(capsys, ["verify", str(path), "--chain-depth", depth],
+                        "--chain-depth")
+
+
+def test_verify_runs_at_the_chain_depth_guard(tmp_path, capsys):
+    # K_2's deviations are +-1, so no moment overflows at any depth
+    path = tmp_path / "k2.txt"
+    path.write_text("n 2\ne 0 1\n")
+    depth = spectral._MAX_CHAIN_DEPTH
+    code, report = run_json(capsys, "verify", str(path), "--chain-depth", str(depth))
+    assert code == 0
+    names = [row["name"] for row in report["results"][0]["bounds"]]
+    assert names.count(f"twisted_positive[q={depth}]") == 1
+    assert names.count(f"ratio_chain[q={depth - 1}]") == 1
+
+
+@pytest.mark.parametrize("flags", [
+    ["--family", "complete_bipartite", "--a", "20", "--b", "30"],
+    ["--family", "star", "--n", "400"],
+])
+def test_verify_exit_zero_at_exact_equality(tmp_path, capsys, flags):
+    # cauchy_schwarz[p=0.5,q=3] prints lhs = rhs = 864000000.0 on K(20,30)
+    # with a float slack of -1.19e-7, one ulp; the equality is certified
+    path = tmp_path / "g.txt"
+    assert main(["generate", *flags, "-o", str(path)]) == 0
+    code, report = run_json(capsys, "verify", str(path))
+    assert code == 0 and report["summary"]["violations"] == 0
+    bounds = report["results"][0]["bounds"]
+    assert any(row["slack"] < -1e-9 and row["holds"] for row in bounds)
+
+
+def test_verify_exit_zero_on_complete_bipartite_sweep(tmp_path, capsys):
+    files = []
+    for a in range(1, 16):
+        for b in range(a, 16):
+            for hat in (False, True):
+                spec = (FamilySpec.complete_bipartite(a, b, sigma_a=a, sigma_b=b)
+                        if hat else FamilySpec.complete_bipartite(a, b))
+                path = tmp_path / f"k{a}_{b}_{int(hat)}.txt"
+                path.write_text(serialize_graph(generate(spec)))
+                files.append(str(path))
+    code, report = run_json(capsys, "verify", *files)
+    assert code == 0
+    assert report["summary"] == {"graphs": 240, "skipped": 0, "violations": 0}
+
+
 def _count_calls(monkeypatch, module, name):
     calls = []
     original = getattr(module, name)

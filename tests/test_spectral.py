@@ -276,9 +276,9 @@ def test_twisted_memo_matches_fresh_sums_for_verify_exponents():
         energy_lower_bounds(g, _DEFAULT_RST)
         spec = _spectrum(g)
         center = g.sigma / g.order
-        assert {key[1] for key in spec._twisted_memo} >= exponents
-        for (memo_center, q), value in spec._twisted_memo.items():
-            assert memo_center == center
+        assert set(spec._twisted_memo) == {center}
+        assert set(spec._twisted_memo[center]) >= exponents
+        for q, value in spec._twisted_memo[center].items():
             assert value == _fresh_twisted(spec, center, q)
         for q in exponents:
             assert twisted_moment(g, q) == _fresh_twisted(spec, center, q)
@@ -295,7 +295,8 @@ def test_twisted_memo_is_keyed_by_center():
     assert by_sigma == _fresh_twisted(spec, 0.5, 2.0)
     assert by_m2 == _fresh_twisted(spec, 2.0, 2.0)
     assert by_m2 != by_sigma
-    assert set(spec._twisted_memo) == {(0.5, 2.0), (2.0, 2.0)}
+    assert {(center, q) for center, moments in spec._twisted_memo.items()
+            for q in moments} == {(0.5, 2.0), (2.0, 2.0)}
     assert energy(g) == _fresh_twisted(spec, 0.5, 1.0)
     # the memo takes no part in equality, hashing or repr
     assert spec == eigenvalues(g)

@@ -2,10 +2,10 @@ from itertools import combinations
 
 import pytest
 
-from loopwalks import (FamilySpec, InvalidLoopPlacement, NotAPathOrCycle,
-                       PathLoopProfile, UnsupportedFamily, build,
-                       closed_form_w3, closed_form_w4, enumerate_all_graphs,
-                       generate, path_loop_profile, trace_power, walk_counts)
+from loopwalks import (FamilySpec, InvalidLoopPlacement, UnsupportedFamily,
+                       build, closed_form_w3, closed_form_w4,
+                       enumerate_all_graphs, generate, trace_power, walk_counts)
+from loopwalks.walks import _loop_blocks, _loop_flags
 
 
 def _all_loop_subsets(n):
@@ -246,64 +246,48 @@ def test_complete_w4_sweep():
         assert closed_form_w4(spec) == walk_counts(generate(spec)).w4
 
 
-# -- path loop profile -------------------------------------------------------
+# -- loop profile of a path or cycle placement ---------------------------------
+
+
+def _profile(n, loops, cyclic=False):
+    """(blocks of >= 2 consecutive loops, isolated loops) of a placement on
+    the path or cycle 0..n-1, by the helper the closed forms use."""
+    return _loop_blocks(_loop_flags(n, loops), cyclic=cyclic)
 
 
 def test_profile_q1():
-    g = generate(FamilySpec.path(8, loops=(1, 2, 4, 6)))
-    assert path_loop_profile(g) == PathLoopProfile(
-        sigma_e=0, sigma_ne=4, run_count=1, sigma_na=2)
+    assert _profile(8, (1, 2, 4, 6)) == (1, 2)
 
 
 def test_profile_q2():
-    g = generate(FamilySpec.path(8, loops=(1, 2, 4, 5, 6)))
-    assert path_loop_profile(g) == PathLoopProfile(
-        sigma_e=0, sigma_ne=5, run_count=2, sigma_na=0)
+    assert _profile(8, (1, 2, 4, 5, 6)) == (2, 0)
 
 
 def test_profile_no_loops():
-    g = generate(FamilySpec.path(5))
-    assert path_loop_profile(g) == PathLoopProfile(0, 0, 0, 0)
+    assert _profile(5, ()) == (0, 0)
+    assert _profile(5, (), cyclic=True) == (0, 0)
 
 
 def test_profile_endpoint_loops():
-    g = generate(FamilySpec.path(4, loops=(0, 3)))
-    assert path_loop_profile(g) == PathLoopProfile(
-        sigma_e=2, sigma_ne=0, run_count=0, sigma_na=2)
+    assert _profile(4, (0, 3)) == (0, 2)
+    # on a cycle the two ends are neighbors
+    assert _profile(4, (0, 3), cyclic=True) == (1, 0)
 
 
 def test_profile_counts_partition_loops():
     for n in range(1, 8):
         for loops in _all_loop_subsets(n):
-            profile = path_loop_profile(generate(FamilySpec.path(n, loops)))
-            assert profile.sigma_e + profile.sigma_ne == len(loops)
-            if profile.run_count == 0:
-                assert profile.sigma_na == len(loops)
+            for cyclic in (False, True) if n >= 3 else (False,):
+                runs, isolated = _profile(n, loops, cyclic)
+                assert 2 * runs + isolated <= len(loops)
+                if runs == 0:
+                    assert isolated == len(loops)
 
 
 def test_profile_cycle_wraparound_run():
-    g = generate(FamilySpec.cycle(5, loops=(0, 1, 4)))
-    assert path_loop_profile(g) == PathLoopProfile(
-        sigma_e=0, sigma_ne=3, run_count=1, sigma_na=0)
+    assert _profile(5, (0, 1, 4), cyclic=True) == (1, 0)
+    assert _profile(5, (0, 1, 4)) == (1, 1)
 
 
 def test_profile_full_cycle_is_one_run():
-    g = generate(FamilySpec.cycle(4, loops=(0, 1, 2, 3)))
-    assert path_loop_profile(g) == PathLoopProfile(
-        sigma_e=0, sigma_ne=4, run_count=1, sigma_na=0)
-
-
-def test_profile_handles_scrambled_labels():
-    # path 2-0-3-1 with loops on the middle stretch
-    g = build(4, [(0, 2), (0, 3), (1, 3)], [0, 3])
-    assert path_loop_profile(g) == PathLoopProfile(
-        sigma_e=0, sigma_ne=2, run_count=1, sigma_na=0)
-
-
-def test_profile_rejects_non_paths():
-    with pytest.raises(NotAPathOrCycle):
-        path_loop_profile(generate(FamilySpec.star(4)))
-    with pytest.raises(NotAPathOrCycle):
-        path_loop_profile(generate(FamilySpec.complete(4)))
-    with pytest.raises(NotAPathOrCycle):
-        path_loop_profile(build(4, [(0, 1), (2, 3)]))
+    assert _profile(4, (0, 1, 2, 3), cyclic=True) == (1, 0)
