@@ -450,13 +450,13 @@ def _chain_rows(graph: SelfLoopGraph, moments: _Moments,
     """Positivity of M_0..M_depth, then M_{q-1} M_{q+1} >= M_q^2 as the
     ratios M_q/M_{q-1} <= M_{q+1}/M_q, whose tolerance scales with them."""
     positive_names, ratio_names = _chain_names(depth)
-    moments = [moments[i] for i in range(depth + 1)]
+    values = [moments[i] for i in range(depth + 1)]
     rows = [{"name": name, "lhs": value, "rhs": 0.0, "slack": value,
              "holds": value > _POSITIVITY_FLOOR}
-            for name, value in zip(positive_names, moments)]
+            for name, value in zip(positive_names, values)]
     for i, name in enumerate(ratio_names, 1):
-        lo = moments[i] / moments[i - 1]
-        hi = moments[i + 1] / moments[i]
+        lo = values[i] / values[i - 1]
+        hi = values[i + 1] / values[i]
         rows.append(_row(graph, name, lo, hi, hi - lo,
                          _SLACK_TOL * max(1.0, abs(lo), abs(hi)), i == 1))
     return rows
@@ -480,7 +480,8 @@ def _energy_rows(graph: SelfLoopGraph, spec: Spectrum, center: float,
     m3 = moments[3]
     m4 = moments[4]
     rows = []
-    # Hoelder: M_2^3 <= E^2 M_4
+    # the moment bound is Hoelder, M_2^3 <= E^2 M_4; the edge-density
+    # bounds are not inequalities on the deviations alone
     for name, lhs, rhs, uses_m0 in (
             ("energy_lb_moments", total_energy, math.sqrt(m2 ** 3 / m4), False),
             ("energy_lb_edge_density", total_energy, 4.0 * m / n, None),
