@@ -68,7 +68,7 @@ _CENTER_TIE_TOL = 1e-9
 # the p and q of the Cauchy-Schwarz rows ``verify`` reports
 _DEFAULT_CS_EXPONENTS = (0.0, 0.5, 1.0, 1.5, 2.0, 3.0)
 # M_q past q = 1024 overflows unless every deviation |lambda - sigma/n| is
-# below 2; a ratio chain on K_2 at depth 1024 takes 0.03 s (see CHANGES.md)
+# below 2; ``verify`` on K_2 at depth 1024 takes about 0.02 s (CHANGES.md)
 _MAX_CHAIN_DEPTH = 1024
 
 
