@@ -376,8 +376,8 @@ def _equal_deviations(graph: SelfLoopGraph) -> tuple[bool, bool]:
     tr(C) BC = tr(C^2) B, and none is zero iff also tr(C)^2 = n tr(C^2).
     C_ij = n^2 (A^2)_ij - 2 n sigma A_ij + sigma^2 [i = j], where (A^2)_ij
     is the popcount of bit rows i and j.  Cost: O(n^2) popcounts and
-    O(n (2m + sigma)) additions for BC, so it runs only for a row whose
-    slack fails the tolerance, once per graph.
+    about n (2m + sigma) / 2 additions for the upper half of BC, so it
+    runs only for a row whose slack fails the tolerance, once per graph.
     """
     n = graph.order
     sigma = graph.sigma
@@ -395,16 +395,18 @@ def _equal_deviations(graph: SelfLoopGraph) -> tuple[bool, bool]:
         row[i] += sigma * sigma
     trace = sum(c[i][i] for i in range(n))
     trace_sq = sum(x * x for row in c for x in row)  # C is symmetric
+    # BC = B^3 is symmetric, so its entries (i, j >= i) decide
     for i, row in enumerate(c):
-        ac = [0] * n  # row i of AC
+        ac = [0] * (n - i)  # row i of AC from column i on
         for k in members[i]:
-            ac = list(map(add, ac, c[k]))
-        b = [0] * n  # row i of B
+            ac = list(map(add, ac, c[k][i:]))
+        b = [0] * (n - i)  # row i of B from column i on
         for k in members[i]:
-            b[k] = n
-        b[i] -= sigma
+            if k >= i:
+                b[k - i] = n
+        b[0] -= sigma
         if any(trace * (n * x - sigma * y) != trace_sq * z
-               for x, y, z in zip(ac, row, b)):
+               for x, y, z in zip(ac, row[i:], b)):
             return False, False
     return True, trace * trace == n * trace_sq
 
