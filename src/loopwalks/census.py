@@ -14,7 +14,8 @@ codegrees, not by scanning 4-sets: the sum over vertex pairs of
 C(|N(u) & N(v)|, 2) counts each 4-cycle twice and each 4-clique six times,
 and the 4-cliques are one popcount per triangle.  The cost is O(n^2) mask
 popcounts over the vertices of degree >= 2 plus one popcount per edge and
-per triangle; edgeless graphs cost O(n).
+per triangle; edgeless graphs cost O(n).  ``subgraph_census`` refuses
+orders above 640, as the eigensolver does, before any part runs.
 """
 
 from __future__ import annotations
@@ -22,7 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
+from .errors import SizeLimitExceeded
 from .graph_core import SelfLoopGraph
+
+# the census of K_n with every third vertex looped took 0.24/1.8/7.5/19 s
+# at n = 160/320/480/640 (CHANGES.md), about what the solver takes at 640
+_MAX_CENSUS_ORDER = 640
 
 
 @dataclass(frozen=True)
@@ -126,7 +132,14 @@ def four_cycle_census(graph: SelfLoopGraph) -> tuple[int, int]:
 
 
 def subgraph_census(graph: SelfLoopGraph) -> SubgraphCensus:
-    """Compute every count the closed-walk formulas need, in one pass."""
+    """Compute every count the closed-walk formulas need, in one pass.
+
+    Refuses orders above _MAX_CENSUS_ORDER before any part runs.
+    """
+    if graph.order > _MAX_CENSUS_ORDER:
+        raise SizeLimitExceeded(
+            f"the census is guarded to order <= {_MAX_CENSUS_ORDER}; "
+            f"got order {graph.order}")
     degrees = graph.degrees
     n1, n2, n1_sum_s = loop_boundary(graph)
     tri_total, t1, t2, t3 = triangle_census(graph)

@@ -275,7 +275,7 @@ def cmd_moments(graph: SelfLoopGraph, qs: Sequence[float]) -> tuple[dict, int]:
     m4_direct = spectral.twisted_moment(graph, 4.0)
     closed_ok = (_closed_form_agrees(report_data.m3_closed, m3_direct)
                  and _closed_form_agrees(report_data.m4_closed, m4_direct))
-    bounds = [record.as_dict() for record in report_data.bounds]
+    bounds = list(report_data.bounds)
     report = _graph_report(
         graph,
         moments={
@@ -312,7 +312,7 @@ def _verify_one(graph: SelfLoopGraph, chain_depth: int,
         return [], "DisconnectedInput: connectivity hypotheses unmet; skipped"
     if graph.size < 1:
         return [], "HypothesisNotMet: the bounds assume at least one edge; skipped"
-    rows = [spectral.mcclelland_bound(graph).as_dict()]
+    rows = [spectral.mcclelland_bound(graph)]
     rows += spectral._bound_rows(graph, chain_depth, rst)
     return rows, None
 
@@ -504,8 +504,7 @@ def _verify_from_args(args: argparse.Namespace) -> tuple[dict, int]:
     rst = (_DEFAULT_RST if args.rst is None
            else tuple(_parse_float_list(item) for item in args.rst))
     for triple in rst:
-        if len(triple) != 3:
-            raise LoopwalksError(f"--rst expects three numbers, got {triple}")
+        spectral._require_rst(triple)
     _require(args.chain_depth >= 1,
              f"--chain-depth must be >= 1, got {args.chain_depth}")
     if args.chain_depth > spectral._MAX_CHAIN_DEPTH:

@@ -66,10 +66,6 @@ class SelfLoopGraph:
         return tuple(tuple(sorted(a)) for a in adj)
 
     @cached_property
-    def neighbor_sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(a) for a in self.neighbors)
-
-    @cached_property
     def neighbor_masks(self) -> tuple[int, ...]:
         """Neighborhoods as bitmasks, bit v set iff v is adjacent."""
         masks = [0] * self.order

@@ -4,7 +4,7 @@ The eigensolver reduces the dense symmetric adjacency matrix to
 tridiagonal form by Householder reflections and then takes its eigenvalues
 by implicit-shift QL (Golub & Van Loan 8.3; EISPACK tred1/tql1): O(n^3),
 deterministic, dependency-free, refused above order 640, and accurate far
-beyond the 1e-9 slack tolerance the bound records use.  Eigenvalues within
+beyond the 1e-9 slack tolerance the bound rows use.  Eigenvalues within
 1e-10 * max(1, max |eigenvalue|) of 0 or of sigma/n are set to exactly
 that value, so solver noise never enters M_q as a spurious |noise|^q term
 and the printed spectrum does not depend on the solver's rounding.  The
@@ -20,26 +20,28 @@ twisted moment or a bound whose value overflows a float is refused with
 Each per-graph layer is computed once.  ``eigenvalues`` is the one
 solver entry point and always solves; every other function here reads the
 spectrum through a private memo of the last graph asked for, so the checks
-on one graph share one solve without the caller passing it along.  Each
-twisted moment M_q = sum |eigenvalue - center|^q is computed once per
-(spectrum, center, exponent): the ``Spectrum`` memoises the correctly
-rounded sums in one mapping per center, so the energy, Cauchy-Schwarz,
-ratio-chain and energy lower-bound checks on one graph share them.  The
-center sigma/n is read from the graph itself, not from a trace.
+on one graph share one solve without the caller passing it along.  There
+is one center, sigma/n, read from the graph itself, not from a trace, and
+each twisted moment M_q = sum |eigenvalue - sigma/n|^q is computed once
+per (spectrum, exponent): ``eigenvalues`` builds the ``Spectrum`` with
+``moments``, the one mapping that memoises the correctly rounded sums, so
+the energy, Cauchy-Schwarz, ratio-chain and energy lower-bound checks on
+one graph share them.
 
-The bounds are evaluated once per graph.  Each inequality has one row
-builder, which returns the dict a report holds; ``_bound_rows`` gives
-``verify`` every row of a graph in one pass, with names taken from caches
-keyed by the exponents or the chain depth, and the public
-``verify_cauchy_schwarz``, ``verify_ratio_chain``, ``energy_lower_bounds``
-and ``mcclelland_bound`` wrap the same rows in ``BoundRecord``s.  A row
-holds when its slack passes the tolerance (1e-9, scaled by the ratios on
-the ratio chain).  The Cauchy-Schwarz and Hoelder rows on the deviations
-|lambda - sigma/n| (McClelland, the Cauchy-Schwarz grid, the ratio chain,
-the moment and (r, s, t) energy bounds) are equalities exactly when the
-nonzero deviations are all equal, and none is zero if the row uses M_0;
-such a row whose slack fails the tolerance still holds when an exact
-integer certificate proves that equality.
+The bounds are evaluated once per graph.  An evaluated bound has one
+form, the {"name", "lhs", "rhs", "slack", "holds"} dict a report holds,
+and each inequality has one row builder; ``_bound_rows`` gives ``verify``
+every row of a graph in one pass, with names taken from caches keyed by
+the exponents or the chain depth, and the public ``verify_cauchy_schwarz``,
+``verify_ratio_chain``, ``energy_lower_bounds`` and ``mcclelland_bound``
+return the same builders' rows.  A row holds when its slack passes the
+tolerance (1e-9, scaled by the ratios on the ratio chain).  The
+Cauchy-Schwarz and Hoelder rows on the deviations |lambda - sigma/n|
+(McClelland, the Cauchy-Schwarz grid, the ratio chain, the moment and
+(r, s, t) energy bounds) are equalities exactly when the nonzero
+deviations are all equal, and none is zero if the row uses M_0; such a
+row whose slack fails the tolerance still holds when an exact integer
+certificate proves that equality.
 """
 
 from __future__ import annotations
@@ -74,18 +76,19 @@ _MAX_CHAIN_DEPTH = 1024
 
 class _Moments(dict):
     """The twisted moments M_q = sum |eigenvalue - center|^q, with 0^0 = 1,
-    of one spectrum about one center, keyed by q: each is summed on its
-    first read and is a plain dict item after that."""
+    of one spectrum about one center, keyed by q: each is summed over
+    ``deviations``, the |eigenvalue - center|, on its first read and is a
+    plain dict item after that."""
 
-    __slots__ = ("_deviations",)
+    __slots__ = ("deviations",)
 
     def __init__(self, eigenvalues: Iterable[float], center: float):
         super().__init__()
-        self._deviations = [abs(lam - center) for lam in eigenvalues]
+        self.deviations = [abs(lam - center) for lam in eigenvalues]
 
     def __missing__(self, q: float) -> float:
         try:
-            value = self[q] = math.fsum([d ** q for d in self._deviations])
+            value = self[q] = math.fsum([d ** q for d in self.deviations])
         except OverflowError:
             raise SizeLimitExceeded(
                 f"the twisted moment with exponent q={q:g} overflows "
@@ -97,51 +100,14 @@ class _Moments(dict):
 class Spectrum:
     """Eigenvalues sorted non-increasingly, plus solver diagnostics.
 
-    Twisted moments computed from it are memoised per center, then per
-    exponent; the memo takes no part in comparison, hashing or repr.
+    ``moments`` memoises the twisted moments about sigma/n by exponent; it
+    takes no part in comparison, hashing or repr.
     """
 
     eigenvalues: tuple[float, ...]
     residual: float
     sweeps_used: int
-    _twisted_memo: dict[float, _Moments] = field(
-        default_factory=dict, init=False, compare=False, repr=False)
-
-    def _moments(self, center: float) -> _Moments:
-        """The twisted moments about ``center``, as a mapping from q."""
-        moments = self._twisted_memo.get(center)
-        if moments is None:
-            moments = self._twisted_memo[center] = _Moments(self.eigenvalues,
-                                                            center)
-        return moments
-
-    def _twisted(self, center: float, q: float) -> float:
-        """Sum of |eigenvalue - center|^q, with 0^0 = 1, computed once."""
-        return self._moments(center)[q]
-
-
-@dataclass(frozen=True)
-class BoundRecord:
-    """One evaluated inequality; slack >= 0 means it holds exactly."""
-
-    name: str
-    lhs: float
-    rhs: float
-    slack: float
-    holds: bool
-
-    def as_dict(self) -> dict:
-        return {"name": self.name, "lhs": self.lhs, "rhs": self.rhs,
-                "slack": self.slack, "holds": self.holds}
-
-    @classmethod
-    def _of(cls, row: dict) -> BoundRecord:
-        """The record of a row from the row builders, whose keys are the
-        fields in order: filled in one step, without the frozen init's
-        ``object.__setattr__`` per field."""
-        record = object.__new__(cls)
-        record.__dict__.update(row)
-        return record
+    moments: _Moments = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -155,7 +121,7 @@ class MomentReport:
     energy: float
     m3_closed: float
     m4_closed: float
-    bounds: tuple[BoundRecord, ...]
+    bounds: tuple[dict, ...]
 
 
 def eigenvalues(graph: SelfLoopGraph) -> Spectrum:
@@ -169,10 +135,12 @@ def eigenvalues(graph: SelfLoopGraph) -> Spectrum:
             f"the dense eigensolver is guarded to order <= {_MAX_DENSE_ORDER}; "
             f"got order {n}")
     values, iterations = _householder_ql(adjacency_rows(graph, 1.0))
-    spectrum = _snap(values, _center(graph))
+    center = _center(graph)
+    spectrum = _snap(values, center)
     return Spectrum(eigenvalues=spectrum,
                     residual=_trace_residual(graph, spectrum),
-                    sweeps_used=iterations)
+                    sweeps_used=iterations,
+                    moments=_Moments(spectrum, center))
 
 
 def _snap(values: list[float], center: float) -> tuple[float, ...]:
@@ -287,12 +255,12 @@ def twisted_moment(graph: SelfLoopGraph, q: float) -> float:
     """Sum of |eigenvalue - sigma/n|^q over the spectrum, with 0^0 = 1."""
     if q < 0:
         raise NegativeExponentUnsupported(f"exponent must be >= 0, got {q}")
-    return _spectrum(graph)._twisted(_center(graph), q)
+    return _spectrum(graph).moments[q]
 
 
 def energy(graph: SelfLoopGraph) -> float:
     """Sum of |eigenvalue - sigma/n| over the spectrum."""
-    return _spectrum(graph)._twisted(_center(graph), 1.0)
+    return _spectrum(graph).moments[1.0]
 
 
 # -- closed forms of the third and fourth twisted moments --------------
@@ -329,7 +297,7 @@ def _m3_closed_with_j(graph: SelfLoopGraph, spectrum: Spectrum, j: int) -> float
     s2 = math.fsum(lam * lam for lam in lams)
     s3 = math.fsum(lam ** 3 for lam in lams)
     wc = walk_counts(graph)
-    total_energy = spectrum._twisted(_center(graph), 1.0)
+    total_energy = spectrum.moments[1.0]
     return (2.0 * s3
             - 6.0 * sigma / n * s2
             + 4.0 * sigma * sigma / (n * n) * s1
@@ -339,13 +307,14 @@ def _m3_closed_with_j(graph: SelfLoopGraph, spectrum: Spectrum, j: int) -> float
             + sigma * sigma / (n * n) * total_energy)
 
 
-# -- bound records ------------------------------------------------------
+# -- bound rows -----------------------------------------------------------
 #
-# Each inequality has one row builder, which evaluates it into the
-# {"name", "lhs", "rhs", "slack", "holds"} dict a report holds.  ``verify``
-# takes all rows of a graph from ``_bound_rows`` in one pass, reading the
-# spectrum, the center and each twisted moment once; the public functions
-# below wrap the same builders' rows in ``BoundRecord``s.
+# An evaluated bound is one {"name", "lhs", "rhs", "slack", "holds"} dict,
+# the row a report holds, and each inequality has one row builder.
+# ``verify`` takes all rows of a graph from ``_bound_rows`` in one pass,
+# reading the spectrum and each twisted moment about sigma/n once from
+# ``Spectrum.moments``; the public functions below return the same
+# builders' rows.
 
 
 def _row(graph: SelfLoopGraph, name: str, lhs: float, rhs: float,
@@ -469,16 +438,32 @@ def _rst_name(r: float, s: float, t: float) -> str:
     return f"energy_lb_rst[r={r:g},s={s:g},t={t:g}]"
 
 
-def _energy_rows(graph: SelfLoopGraph, spec: Spectrum, center: float,
+def _require_rst(triple: Iterable[float]) -> tuple[float, float, float]:
+    """The (r, s, t) of an energy lower bound as floats, refused unless
+    they are three numbers >= 0 with 4r = s + t + 2."""
+    values = tuple(float(x) for x in triple)
+    if len(values) != 3:
+        raise ConstraintViolation(f"rst expects three numbers, got {values}")
+    r, s, t = values
+    if min(r, s, t) < 0:
+        raise NegativeExponentUnsupported(
+            f"rst exponents must be >= 0, got {values}")
+    if abs(4.0 * r - (s + t + 2.0)) > 1e-12:
+        raise ConstraintViolation(
+            f"need 4r = s + t + 2, got r={r:g}, s={s:g}, t={t:g}")
+    return values
+
+
+def _energy_rows(graph: SelfLoopGraph, moments: _Moments,
                  rst_triples: Iterable[Sequence[float]]) -> list[dict]:
-    """The energy and moment lower bounds, then one row per (r, s, t)."""
+    """The energy and moment lower bounds, then one row per (r, s, t),
+    each triple already passed by ``_require_rst``."""
     n = graph.order
     m = graph.size
-    moments = spec._moments(center)
     total_energy = moments[1.0]
     # d * d is the correctly rounded square; d ** 2 goes through libm's pow
     # and can differ in the last bit, so this sum stays outside the memo
-    m2 = math.fsum((lam - center) * (lam - center) for lam in spec.eigenvalues)
+    m2 = math.fsum(d * d for d in moments.deviations)
     m3 = moments[3]
     m4 = moments[4]
     rows = []
@@ -490,14 +475,7 @@ def _energy_rows(graph: SelfLoopGraph, spec: Spectrum, center: float,
             ("m3_lb_edge_density", m3, 64.0 * m ** 3 / n ** 5, None),
             ("m4_lb_edge_density", m4, 256.0 * m ** 4 / n ** 7, None)):
         rows.append(_row(graph, name, lhs, rhs, lhs - rhs, _SLACK_TOL, uses_m0))
-    for triple in rst_triples:
-        r, s, t = (float(x) for x in triple)
-        if min(r, s, t) < 0:
-            raise NegativeExponentUnsupported(
-                f"rst exponents must be >= 0, got {triple}")
-        if abs(4.0 * r - (s + t + 2.0)) > 1e-12:
-            raise ConstraintViolation(
-                f"need 4r = s + t + 2, got r={r:g}, s={s:g}, t={t:g}")
+    for r, s, t in rst_triples:
         mr = moments[r]
         rhs = mr * mr / math.sqrt(moments[s] * moments[t])
         # Hoelder with exponents (2, 4, 4): M_r^2 <= E sqrt(M_s M_t)
@@ -510,38 +488,35 @@ def _bound_rows(graph: SelfLoopGraph, chain_depth: int,
                 rst: Iterable[Sequence[float]]) -> list[dict]:
     """Every row ``verify`` reports after McClelland's, in its order: the
     Cauchy-Schwarz grid, the ratio chain to ``chain_depth`` and the energy
-    lower bounds with ``rst``.  For a connected graph with an edge, which
-    the caller has checked."""
+    lower bounds with ``rst``.  For a connected graph with an edge and
+    triples that pass ``_require_rst``, which the caller has checked."""
     _require_chain_depth(chain_depth)
-    spec = _spectrum(graph)
-    center = _center(graph)
-    moments = spec._moments(center)
+    moments = _spectrum(graph).moments
     rows = _cs_rows(graph, moments, _cs_grid())
     rows += _chain_rows(graph, moments, chain_depth)
-    rows += _energy_rows(graph, spec, center, rst)
+    rows += _energy_rows(graph, moments, rst)
     return rows
 
 
-def verify_cauchy_schwarz(graph: SelfLoopGraph, p: float, q: float) -> BoundRecord:
+def verify_cauchy_schwarz(graph: SelfLoopGraph, p: float, q: float) -> dict:
     """Check M_q^2 <= M_{2q-2p} * M_{2p} for 0 <= p <= q."""
     if p < 0 or q < 0:
         raise NegativeExponentUnsupported(
             f"exponents must be >= 0, got p={p}, q={q}")
     if p > q:
         raise ConstraintViolation(f"need p <= q, got p={p}, q={q}")
-    moments = _spectrum(graph)._moments(_center(graph))
-    return BoundRecord._of(_cs_rows(graph, moments, (_cs_term(p, q),))[0])
+    return _cs_rows(graph, _spectrum(graph).moments, (_cs_term(p, q),))[0]
 
 
-def mcclelland_bound(graph: SelfLoopGraph) -> BoundRecord:
+def mcclelland_bound(graph: SelfLoopGraph) -> dict:
     """Energy upper bound sqrt(n (2m + sigma - sigma^2/n)), from graph data:
     Cauchy-Schwarz E^2 <= M_0 M_2, with M_2 = 2m + sigma - sigma^2/n."""
     n = graph.order
     sigma = graph.sigma
     total_energy = energy(graph)
     rhs = math.sqrt(n * (2 * graph.size + sigma - sigma * sigma / n))
-    return BoundRecord._of(_row(graph, "mcclelland", total_energy, rhs,
-                                rhs - total_energy, _SLACK_TOL, True))
+    return _row(graph, "mcclelland", total_energy, rhs, rhs - total_energy,
+                _SLACK_TOL, True)
 
 
 def _require_chain_depth(depth: int) -> None:
@@ -559,22 +534,21 @@ def _require_bound_hypotheses(graph: SelfLoopGraph) -> None:
         raise HypothesisNotMet("bound verification assumes at least one edge")
 
 
-def verify_ratio_chain(graph: SelfLoopGraph, q_max: int) -> list[BoundRecord]:
+def verify_ratio_chain(graph: SelfLoopGraph, q_max: int) -> list[dict]:
     """Positivity of the twisted moments up to q_max and the monotone
     ratio chain M_1/M_0 <= M_2/M_1 <= ... (relative 1e-9 tolerance)."""
     _require_chain_depth(q_max)
     _require_bound_hypotheses(graph)
-    moments = _spectrum(graph)._moments(_center(graph))
-    return [BoundRecord._of(row) for row in _chain_rows(graph, moments, q_max)]
+    return _chain_rows(graph, _spectrum(graph).moments, q_max)
 
 
 def energy_lower_bounds(graph: SelfLoopGraph,
-                        rst_triples: Iterable[Sequence[float]] = ()) -> list[BoundRecord]:
+                        rst_triples: Iterable[Sequence[float]] = ()) -> list[dict]:
     """Lower bounds on energy and on the third/fourth twisted moments,
-    plus one record per caller-supplied (r, s, t) with 4r = s + t + 2."""
+    plus one row per caller-supplied (r, s, t) with 4r = s + t + 2."""
     _require_bound_hypotheses(graph)
-    rows = _energy_rows(graph, _spectrum(graph), _center(graph), rst_triples)
-    return [BoundRecord._of(row) for row in rows]
+    triples = [_require_rst(triple) for triple in rst_triples]
+    return _energy_rows(graph, _spectrum(graph).moments, triples)
 
 
 def moment_report(graph: SelfLoopGraph,
@@ -587,7 +561,7 @@ def moment_report(graph: SelfLoopGraph,
     spectrum = _spectrum(graph)
     wc = walk_counts(graph)
     twisted = tuple((float(q), twisted_moment(graph, q)) for q in qs)
-    bounds: tuple[BoundRecord, ...] = ()
+    bounds: tuple[dict, ...] = ()
     if is_connected(graph) and graph.size >= 1:
         bounds = (mcclelland_bound(graph), *energy_lower_bounds(graph))
     return MomentReport(spectrum=spectrum,

@@ -23,7 +23,6 @@ from loopwalks.cli import main
 from loopwalks.families import sample_connected_graphs
 from loopwalks.errors import InvalidLoopPlacement
 from loopwalks import spectral
-from loopwalks.spectral import BoundRecord
 
 CS_GRID = (0.0, 0.5, 1.0, 1.5, 2.0, 3.0)
 RST_TRIPLES = ((1.0, 0.0, 2.0), (1.5, 2.0, 2.0), (2.0, 3.0, 3.0))
@@ -157,18 +156,18 @@ def test_criterion_5_inequality_suite(connected_suite, random_connected):
         for i, p in enumerate(CS_GRID):
             for q in CS_GRID[i:]:
                 record = verify_cauchy_schwarz(g, p, q)
-                assert record.slack >= -1e-9, (g.edges, g.loops, record)
-                worst = min(worst, record.slack)
+                assert record["slack"] >= -1e-9, (g.edges, g.loops, record)
+                worst = min(worst, record["slack"])
                 records_checked += 1
         for record in verify_ratio_chain(g, 10):
-            if record.name.startswith("twisted_positive"):
-                assert record.lhs > 1e-12, (g.edges, g.loops, record)
+            if record["name"].startswith("twisted_positive"):
+                assert record["lhs"] > 1e-12, (g.edges, g.loops, record)
             else:
-                assert record.holds, (g.edges, g.loops, record)
+                assert record["holds"], (g.edges, g.loops, record)
             records_checked += 1
         for record in energy_lower_bounds(g, RST_TRIPLES):
-            assert record.slack >= -1e-9, (g.edges, g.loops, record)
-            worst = min(worst, record.slack)
+            assert record["slack"] >= -1e-9, (g.edges, g.loops, record)
+            worst = min(worst, record["slack"])
             records_checked += 1
     elapsed = time.time() - started
     assert elapsed < 120.0
@@ -318,8 +317,8 @@ def test_criterion_8_cli_contract(tmp_path, capsys, monkeypatch):
     from loopwalks import spectral
 
     def forced_violation(graph):
-        return BoundRecord(name="mcclelland", lhs=1.0, rhs=0.0, slack=-1.0,
-                           holds=False)
+        return {"name": "mcclelland", "lhs": 1.0, "rhs": 0.0, "slack": -1.0,
+                "holds": False}
 
     monkeypatch.setattr(spectral, "mcclelland_bound", forced_violation)
     assert main(["verify", graph_file]) == 1

@@ -1,5 +1,5 @@
 """The bound rows ``verify`` writes: one evaluation per graph that agrees
-with the public record functions, and the exact equality certificate that
+with the public bound functions, and the exact equality certificate that
 decides a row whose float slack fails the tolerance."""
 
 import math
@@ -18,7 +18,7 @@ from loopwalks.families import sample_connected_graphs
 RST = ((1.0, 0.0, 2.0), (0.75, 0.0, 1.0), (2.5, 4.0, 4.0))
 
 
-def _public_records(graph, depth, rst):
+def _public_rows(graph, depth, rst):
     grid = _DEFAULT_CS_EXPONENTS
     return [mcclelland_bound(graph),
             *(verify_cauchy_schwarz(graph, p, q)
@@ -47,8 +47,7 @@ def test_verify_rows_equal_the_public_records(depth, loop_prob):
         for rst in (_DEFAULT_RST, RST):
             rows, note = _verify_one(graph, depth, rst)
             assert note is None
-            assert rows == [record.as_dict()
-                            for record in _public_records(graph, depth, rst)]
+            assert rows == _public_rows(graph, depth, rst)
             assert [row["name"] for row in rows] == _expected_names(depth, rst)
             grid = _DEFAULT_CS_EXPONENTS
             pairs = [(p, q) for p in grid for q in grid if p <= q]

@@ -16,6 +16,12 @@ def _random_graph(rng, n, edge_p=0.5, loop_p=0.5):
     return build(n, edges, loops)
 
 
+def _neighbor_sets(g):
+    """Neighborhoods as sets built from the neighbor lists, so the reference
+    scans stay independent of the census's bit masks."""
+    return [set(nbrs) for nbrs in g.neighbors]
+
+
 # -- first Zagreb index -------------------------------------------------
 
 
@@ -59,8 +65,9 @@ def test_loop_boundary_matches_direct_neighbor_scan():
         g = _random_graph(rng, rng.randint(1, 6))
         n1, n2, n1_sum = loop_boundary(g)
         looped = set(g.loops)
+        adj = _neighbor_sets(g)
         for v in range(g.order):
-            nbrs = g.neighbor_sets[v]
+            nbrs = adj[v]
             if v in looped:
                 assert n1[v] == len(nbrs - looped)
                 assert n2[v] == len(nbrs & looped)
@@ -112,10 +119,10 @@ def test_triangle_census_against_triple_enumeration():
                for i in range(40)]
     for g in graphs:
         looped = g.loop_set
+        adj = _neighbor_sets(g)
         by_loops = [0, 0, 0, 0]
         for x, y, z in combinations(range(g.order), 3):
-            if (y in g.neighbor_sets[x] and z in g.neighbor_sets[x]
-                    and z in g.neighbor_sets[y]):
+            if y in adj[x] and z in adj[x] and z in adj[y]:
                 by_loops[len({x, y, z} & looped)] += 1
         total, t1, t2, t3 = triangle_census(g)
         assert total == sum(by_loops)
@@ -150,11 +157,12 @@ def test_four_cycles_diamond_counts_once():
 def _cycle_count_by_walk_closure(g):
     """Independent oracle: distinct 4-cycles, identified by their edge sets,
     found by trying every tour of every 4-subset."""
+    adj = _neighbor_sets(g)
     total = 0
     for quad in combinations(range(g.order), 4):
         cycle_edge_sets = set()
         for tour in permutations(quad):
-            if all(tour[(i + 1) % 4] in g.neighbor_sets[tour[i]] for i in range(4)):
+            if all(tour[(i + 1) % 4] in adj[tour[i]] for i in range(4)):
                 cycle_edge_sets.add(frozenset(
                     frozenset((tour[i], tour[(i + 1) % 4])) for i in range(4)))
         total += len(cycle_edge_sets)
@@ -233,9 +241,10 @@ def test_census_identities_exhaustive_n5():
                 assert n1[v] + n2[v] == g.degrees[v]
             assert n1_sum == sum(n1[v] for v in range(n) if v not in g.loop_set)
             total, t1, t2, t3 = triangle_census(g)
+            adj = _neighbor_sets(g)
             looped = sum(1 for x, y, z in combinations(range(n), 3)
-                         if y in g.neighbor_sets[x] and z in g.neighbor_sets[x]
-                         and z in g.neighbor_sets[y] and {x, y, z} & g.loop_set)
+                         if y in adj[x] and z in adj[x] and z in adj[y]
+                         and {x, y, z} & g.loop_set)
             assert t1 + t2 + t3 == looped <= total
             if g.sigma == 0:
                 # loops are irrelevant to the 4-cycle counts: check the

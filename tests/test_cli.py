@@ -6,7 +6,6 @@ from loopwalks import (FamilySpec, ParseError, generate, parse_graph,
                        serialize_graph, spectral, walks)
 from loopwalks.cli import main
 from loopwalks.families import SplitMix64, sample_connected_graphs
-from loopwalks.spectral import BoundRecord
 
 
 def run_cli(capsys, *argv):
@@ -274,15 +273,35 @@ def test_census_edgeless(tmp_path, capsys):
 
 
 def test_large_edgeless_graph_walks_and_census(tmp_path, capsys):
-    # the census is linear in the order on edgeless graphs
-    path = tmp_path / "empty3000.txt"
-    path.write_text("n 3000\n")
+    # the census is linear in the order on edgeless graphs; at its guard
+    from loopwalks import census
+
+    path = tmp_path / "empty.txt"
+    path.write_text(f"n {census._MAX_CENSUS_ORDER}\n")
     code, report = run_json(capsys, "walks", str(path), "--kmax", "1")
     assert code == 0
     assert report["walks"]["formula"] == report["walks"]["trace"] == {"w1": 0}
     code, report = run_json(capsys, "census", str(path))
     assert code == 0
     assert report["census"]["c4_not_k4"] == 0 and report["census"]["k4_count"] == 0
+
+
+def test_census_refuses_an_order_past_its_guard(monkeypatch, tmp_path, capsys):
+    # refused before any census part runs, even on an edgeless graph;
+    # moments meets the solver's guard first
+    from loopwalks import census
+
+    def not_reached(*args):
+        raise AssertionError("census work done past the order guard")
+
+    for part in ("loop_boundary", "triangle_census", "four_cycle_census"):
+        monkeypatch.setattr(census, part, not_reached)
+    walks._census.cache_clear()
+    path = tmp_path / "edgeless.txt"
+    path.write_text(f"n {census._MAX_CENSUS_ORDER + 1}\n")
+    _assert_input_error(capsys, ["census", str(path)], "census is guarded")
+    _assert_input_error(capsys, ["walks", str(path)], "census is guarded")
+    _assert_input_error(capsys, ["moments", str(path)], "eigensolver")
 
 
 # -- verify -----------------------------------------------------------------------
@@ -444,6 +463,28 @@ def test_verify_refuses_chain_depth_past_the_guard(monkeypatch, tmp_path, capsys
                         "--chain-depth")
 
 
+@pytest.mark.parametrize("rst,named", [
+    ("1,0,0", "4r = s + t + 2"),
+    ("-1,-4,-2", ">= 0"),
+    ("1,2", "three numbers"),
+])
+def test_verify_refuses_bad_rst_before_sampling(monkeypatch, tmp_path, capsys,
+                                                rst, named):
+    # refused before the sampler draws or any spectrum is solved
+    from loopwalks import cli
+
+    def not_reached(*args):
+        raise AssertionError("sampled or solved past the --rst check")
+
+    monkeypatch.setattr(cli, "sample_connected_graphs", not_reached)
+    monkeypatch.setattr(spectral, "eigenvalues", not_reached)
+    path = tmp_path / "k2.txt"
+    path.write_text("n 2\ne 0 1\n")
+    _assert_input_error(capsys, ["verify", "--sample", "20", "--n-range", "300,320",
+                                 f"--rst={rst}"], named)
+    _assert_input_error(capsys, ["verify", str(path), f"--rst={rst}"], named)
+
+
 def test_verify_runs_at_the_chain_depth_guard(tmp_path, capsys):
     # K_2's deviations are +-1, so no moment overflows at any depth
     path = tmp_path / "k2.txt"
@@ -521,8 +562,8 @@ def test_verify_exit_one_on_violation(monkeypatch, tmp_path, capsys):
     from loopwalks import spectral
 
     def broken_bound(graph):
-        return BoundRecord(name="mcclelland", lhs=2.0, rhs=1.0, slack=-1.0,
-                           holds=False)
+        return {"name": "mcclelland", "lhs": 2.0, "rhs": 1.0, "slack": -1.0,
+                "holds": False}
 
     monkeypatch.setattr(spectral, "mcclelland_bound", broken_bound)
     path = tmp_path / "g.txt"

@@ -276,9 +276,10 @@ def test_twisted_memo_matches_fresh_sums_for_verify_exponents():
         energy_lower_bounds(g, _DEFAULT_RST)
         spec = _spectrum(g)
         center = g.sigma / g.order
-        assert set(spec._twisted_memo) == {center}
-        assert set(spec._twisted_memo[center]) >= exponents
-        for q, value in spec._twisted_memo[center].items():
+        assert spec.moments.deviations == [abs(lam - center)
+                                           for lam in spec.eigenvalues]
+        assert set(spec.moments) >= exponents
+        for q, value in spec.moments.items():
             assert value == _fresh_twisted(spec, center, q)
         for q in exponents:
             assert twisted_moment(g, q) == _fresh_twisted(spec, center, q)
@@ -291,17 +292,13 @@ def test_twisted_memo_is_keyed_by_center():
     _spectrum.cache_clear()
     by_sigma = twisted_moment(g, 2.0)       # center sigma/n = 0.5
     spec = _spectrum(g)
-    by_m2 = spec._twisted(2.0, 2.0)         # a second center, 2.0
     assert by_sigma == _fresh_twisted(spec, 0.5, 2.0)
-    assert by_m2 == _fresh_twisted(spec, 2.0, 2.0)
-    assert by_m2 != by_sigma
-    assert {(center, q) for center, moments in spec._twisted_memo.items()
-            for q in moments} == {(0.5, 2.0), (2.0, 2.0)}
+    assert set(spec.moments) == {2.0}
     assert energy(g) == _fresh_twisted(spec, 0.5, 1.0)
     # the memo takes no part in equality, hashing or repr
     assert spec == eigenvalues(g)
     assert hash(spec) == hash(eigenvalues(g))
-    assert "memo" not in repr(spec)
+    assert "moments" not in repr(spec)
 
 
 def test_caller_faults_raise_package_errors(k4_three_loops):
@@ -369,28 +366,28 @@ def test_m3_split_index_ties_are_value_irrelevant():
 
 def test_mcclelland_record(k4_three_loops):
     record = mcclelland_bound(k4_three_loops)
-    assert record.holds
+    assert record["holds"]
     expected = math.sqrt(4 * (2 * 6 + 3 - 9 / 4))
-    assert record.rhs == pytest.approx(expected, abs=1e-12)
-    assert record.lhs == pytest.approx(energy(k4_three_loops), abs=1e-12)
+    assert record["rhs"] == pytest.approx(expected, abs=1e-12)
+    assert record["lhs"] == pytest.approx(energy(k4_three_loops), abs=1e-12)
 
 
 def test_cauchy_schwarz_equals_mcclelland_at_q1_p1(k4_three_loops):
     record = verify_cauchy_schwarz(k4_three_loops, 1.0, 1.0)
     e = energy(k4_three_loops)
     n = k4_three_loops.order
-    assert record.lhs == pytest.approx(e * e, abs=1e-9)
-    assert record.rhs == pytest.approx(n * twisted_moment(k4_three_loops, 2.0), abs=1e-9)
-    assert record.holds
+    assert record["lhs"] == pytest.approx(e * e, abs=1e-9)
+    assert record["rhs"] == pytest.approx(n * twisted_moment(k4_three_loops, 2.0), abs=1e-9)
+    assert record["holds"]
 
 
 def test_cauchy_schwarz_equal_exponents_use_m0():
     g = generate(FamilySpec.cycle(5, loops=(0, 2)))
     for q in (0.5, 1.0, 2.0):
         record = verify_cauchy_schwarz(g, q, q)
-        assert record.rhs == pytest.approx(
+        assert record["rhs"] == pytest.approx(
             g.order * twisted_moment(g, 2 * q), abs=1e-9)
-        assert record.holds
+        assert record["holds"]
 
 
 def test_cauchy_schwarz_grid_random_connected():
@@ -405,7 +402,7 @@ def test_cauchy_schwarz_grid_random_connected():
         for i, p in enumerate(grid):
             for q in grid[i:]:
                 record = verify_cauchy_schwarz(g, p, q)
-                assert record.slack >= -1e-9, (g, p, q, record)
+                assert record["slack"] >= -1e-9, (g, p, q, record)
         count += 1
 
 
@@ -418,8 +415,8 @@ def test_cauchy_schwarz_rejects_bad_exponents(k4_three_loops):
 
 def test_ratio_chain_p3():
     records = verify_ratio_chain(generate(FamilySpec.path(3)), 6)
-    assert all(r.holds for r in records)
-    names = [r.name for r in records]
+    assert all(r["holds"] for r in records)
+    names = [r["name"] for r in records]
     assert names.count("ratio_chain[q=1]") == 1
     assert sum(1 for name in names if name.startswith("ratio_chain")) == 5
     assert sum(1 for name in names if name.startswith("twisted_positive")) == 7
@@ -427,7 +424,7 @@ def test_ratio_chain_p3():
 
 def test_ratio_chain_c3_fully_looped():
     g = generate(FamilySpec.cycle(3, loops=(0, 1, 2)))
-    assert all(r.holds for r in verify_ratio_chain(g, 8))
+    assert all(r["holds"] for r in verify_ratio_chain(g, 8))
 
 
 def test_ratio_chain_requires_connected():
@@ -442,27 +439,27 @@ def test_ratio_chain_rejects_edgeless_vertex():
 
 def test_energy_lower_bounds_hat_k22_equality():
     g = _hat_bipartite(2, 2)
-    records = {r.name: r for r in energy_lower_bounds(g)}
+    records = {r["name"]: r for r in energy_lower_bounds(g)}
     moment_bound = records["energy_lb_moments"]
-    assert moment_bound.holds
-    assert abs(moment_bound.slack) < 1e-9
-    assert records["energy_lb_edge_density"].holds
+    assert moment_bound["holds"]
+    assert abs(moment_bound["slack"]) < 1e-9
+    assert records["energy_lb_edge_density"]["holds"]
 
 
 def test_energy_lower_bounds_loopless_bipartite_equality():
     g = generate(FamilySpec.complete_bipartite(3, 2))
-    record = next(r for r in energy_lower_bounds(g) if r.name == "energy_lb_moments")
-    assert abs(record.slack) < 1e-9
+    record = next(r for r in energy_lower_bounds(g) if r["name"] == "energy_lb_moments")
+    assert abs(record["slack"]) < 1e-9
 
 
 def test_energy_lower_bounds_rst_triple():
     g = generate(FamilySpec.cycle(6, loops=(1, 2)))
     records = energy_lower_bounds(g, rst_triples=((1.0, 0.0, 2.0),))
-    rst = next(r for r in records if r.name.startswith("energy_lb_rst"))
-    assert rst.holds
+    rst = next(r for r in records if r["name"].startswith("energy_lb_rst"))
+    assert rst["holds"]
     # r=1, s=0, t=2 rearranges to the McClelland upper bound
     e = energy(g)
-    assert rst.rhs == pytest.approx(
+    assert rst["rhs"] == pytest.approx(
         e * e / math.sqrt(g.order * twisted_moment(g, 2.0)), abs=1e-9)
 
 
@@ -486,8 +483,8 @@ def test_positivity_connected_suite_spot():
         if count % 37 == 0:  # thin the sweep; the full one runs in acceptance
             records = verify_ratio_chain(g, 10)
             for record in records:
-                if record.name.startswith("twisted_positive"):
-                    assert record.lhs > 1e-12
+                if record["name"].startswith("twisted_positive"):
+                    assert record["lhs"] > 1e-12
         count += 1
 
 
@@ -503,7 +500,7 @@ def test_moment_report_invariants(k4_three_loops):
     assert twisted[2.0] == pytest.approx(
         2 * g.size + g.sigma - g.sigma ** 2 / g.order, abs=1e-8)
     assert report.spectral_moments == (4, 3, 15, 54, 207)
-    assert all(record.holds for record in report.bounds)
+    assert all(record["holds"] for record in report.bounds)
 
 
 def test_moment_report_disconnected_has_no_bounds():
