@@ -8,14 +8,17 @@ only; a 4-cycle on a 4-set inducing five edges (a diamond) still counts as
 a 4-cycle.  Total 4-cycles therefore decompose as c4_not_k4 + 3 * k4_count.
 
 Every count but the loop-boundary one is a total: the walk formulas read
-no per-vertex triangle or 4-cycle counts, so none are kept.  Triangles are
-popcounts of common neighbors along each edge.  4-cycles are counted by
-codegrees, not by scanning 4-sets: the sum over vertex pairs of
-C(|N(u) & N(v)|, 2) counts each 4-cycle twice and each 4-clique six times,
-and the 4-cliques are one popcount per triangle.  The cost is O(n^2) mask
-popcounts over the vertices of degree >= 2 plus one popcount per edge and
-per triangle; edgeless graphs cost O(n).  ``subgraph_census`` refuses
-orders above 640, as the eigensolver does, before any part runs.
+no per-vertex triangle or 4-cycle counts, so none are kept.  Adjacency is
+read only through the graph's neighbor bitmasks, loop mask and degrees.
+The loop-boundary counts of a vertex are popcounts of its neighborhood
+with and without the loop mask.  Triangles are popcounts of common
+neighbors along each edge.  4-cycles are counted by codegrees, not by
+scanning 4-sets: the sum over vertex pairs of C(|N(u) & N(v)|, 2) counts
+each 4-cycle twice and each 4-clique six times, and the 4-cliques are one
+popcount per triangle.  The cost is O(n^2) mask popcounts over the
+vertices of degree >= 2 plus one popcount per edge and per triangle;
+edgeless graphs cost O(n).  ``subgraph_census`` refuses orders above 640,
+as the eigensolver does, before any part runs.
 """
 
 from __future__ import annotations
@@ -68,18 +71,17 @@ def loop_boundary(graph: SelfLoopGraph) -> tuple[tuple[int, ...], tuple[int, ...
     its looped neighbors and n2 is zero.  Returns (n1, n2, sum of n1 over
     looped vertices).
     """
-    loop_set = graph.loop_set
-    n1 = [0] * graph.order
-    n2 = [0] * graph.order
-    for u, v in graph.edges:
-        u_looped = u in loop_set
-        v_looped = v in loop_set
-        if u_looped and v_looped:
-            n2[u] += 1
-            n2[v] += 1
-        elif u_looped or v_looped:
-            n1[u] += 1
-            n1[v] += 1
+    loop_mask = graph.loop_mask
+    n1: list[int] = []
+    n2: list[int] = []
+    for v, mask in enumerate(graph.neighbor_masks):
+        looped = (mask & loop_mask).bit_count()
+        if loop_mask >> v & 1:
+            n1.append(mask.bit_count() - looped)
+            n2.append(looped)
+        else:
+            n1.append(looped)
+            n2.append(0)
     n1_sum_s = sum(n1[v] for v in graph.loops)
     return tuple(n1), tuple(n2), n1_sum_s
 

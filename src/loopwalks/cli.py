@@ -34,7 +34,7 @@ import math
 import sys
 from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 from . import oracle, spectral
 from .errors import LoopwalksError, SizeLimitExceeded
@@ -42,7 +42,7 @@ from .families import FAMILIES, FamilySpec, generate, sample_connected_graphs
 from .graph_core import SelfLoopGraph, is_connected
 from .graphio import load_graph, serialize_graph
 from .census import subgraph_census
-from .oracle import trace_power
+from .oracle import traces_upto
 from .walks import walk_counts
 
 _CLOSED_FORM_TOL = 1e-7
@@ -260,7 +260,7 @@ def cmd_walks(graph: SelfLoopGraph, kmax: int) -> tuple[dict, int]:
             f"--kmax must be <= {oracle._MAX_TRACE_K}, the trace sweep's guard, got {kmax}")
     wc = walk_counts(graph)
     formula = {f"w{k}": getattr(wc, f"w{k}") for k in range(1, min(kmax, 4) + 1)}
-    trace = {f"w{k}": trace_power(graph, k) for k in range(1, kmax + 1)}
+    trace = {f"w{k}": t for k, t in enumerate(traces_upto(graph, kmax), 1)}
     agree = all(formula[key] == trace[key] for key in formula)
     report = _graph_report(
         graph, walks={"formula": formula, "trace": trace, "agree": agree})
@@ -411,8 +411,17 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
     return values
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are one ``error:`` line and
+    exit status 2, as for every other input error; its subparsers share
+    the class."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, f"error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="loopwalks",
         description="Closed-walk counts, subgraph census, spectral moments "
                     "and energy bounds for graphs with self-loops.")

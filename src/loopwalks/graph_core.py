@@ -5,11 +5,16 @@ carrying one loop each.  Loops are stored as a vertex subset, never as matrix
 entries or edge pairs, so vertex degrees count proper edges only; the
 adjacency matrix (with unit diagonal entries on looped vertices) is derived
 on demand.
+
+The one adjacency a graph derives is its neighbor bitmasks and loop mask,
+each cached on first read.  Degrees are popcounts of the masks and the
+connectivity search ORs them, so neither keeps a list of its own.  The
+enumeration and trace routes in ``oracle`` read none of these: they build
+their own structures from ``edges`` and ``loops``.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -53,21 +58,9 @@ class SelfLoopGraph:
         return len(self.loops)
 
     @cached_property
-    def loop_set(self) -> frozenset[int]:
-        return frozenset(self.loops)
-
-    @cached_property
-    def neighbors(self) -> tuple[tuple[int, ...], ...]:
-        """Sorted proper-edge neighbor lists, one per vertex."""
-        adj: list[list[int]] = [[] for _ in range(self.order)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return tuple(tuple(sorted(a)) for a in adj)
-
-    @cached_property
     def neighbor_masks(self) -> tuple[int, ...]:
-        """Neighborhoods as bitmasks, bit v set iff v is adjacent."""
+        """Neighborhoods as bitmasks, bit v set iff v is adjacent: the one
+        adjacency the graph derives."""
         masks = [0] * self.order
         for u, v in self.edges:
             masks[u] |= 1 << v
@@ -83,27 +76,23 @@ class SelfLoopGraph:
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:
-        return tuple(len(a) for a in self.neighbors)
+        return tuple(mask.bit_count() for mask in self.neighbor_masks)
 
     @cached_property
     def connected(self) -> bool:
-        """Breadth-first reachability over proper edges; loops never matter."""
-        n = self.order
-        if n == 1:
-            return True
-        nbrs = self.neighbors
-        seen = bytearray(n)
-        seen[0] = 1
-        queue = deque((0,))
-        count = 1
-        while queue:
-            u = queue.popleft()
-            for w in nbrs[u]:
-                if not seen[w]:
-                    seen[w] = 1
-                    count += 1
-                    queue.append(w)
-        return count == n
+        """Breadth-first reachability over proper edges; loops never matter.
+        Each round ORs the masks of the frontier's vertices."""
+        masks = self.neighbor_masks
+        seen = frontier = 1
+        while frontier:
+            reached = 0
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                reached |= masks[low.bit_length() - 1]
+            frontier = reached & ~seen
+            seen |= frontier
+        return seen == (1 << self.order) - 1
 
 
 def build(order: int,

@@ -2,33 +2,43 @@
 
 Two routes that share no logic with the census-based formulas: a naive
 enumeration of walk sequences, and exact integer traces of adjacency-matrix
-powers.  The enumeration is deliberately memoization-free so that it cannot
-inherit a bug from the formula path: from each start vertex it chains
-iterators over the move lists, so every walk prefix is one element of a
-C-level iterator, and counts the last vertices that step back to the start.
-There is no memo, popcount or aggregation of prefixes; the cost is the
-number of walks, exponential in k.
+powers.  Both read only a graph's order, edge list and loop list, never
+the adjacency the graph caches for the census.  The enumeration never
+memoises a walk count, so that it cannot inherit a bug from the formula
+path: from each start vertex it chains iterators over the move lists, so
+every walk prefix is one element of a C-level iterator, and counts the
+last vertices that step back to the start.  There is no popcount or
+aggregation of prefixes; the cost is the number of walks, exponential in
+k.  Only the move lists are kept, for the last graph enumerated, so the
+calls for k = 1..4 on one graph build them once.
 
 The traces work on bit rows of the adjacency matrix, built here from the
 edge and loop lists (never from the census's neighbor masks), with the loop
 bit on the diagonal.  Entries of A^2 are popcounts of row intersections, so
 diagonals up to k = 4 cost O(n^2) popcounts; each further factor of A costs
-one sparse step of O(n * (2m + sigma)) additions.
+one sparse step of O(n * (2m + sigma)) additions.  ``trace_power`` builds
+one power from scratch for each call; ``traces_upto``, the sweep behind
+``walks --kmax``, keeps the powers up to A^ceil(kmax/2) and reads every
+trace up to kmax from them, so it takes ceil(kmax/2) - 2 sparse steps in
+all instead of about kmax^2 / 4.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import chain
+from typing import Sequence
 
 from .errors import ConstraintViolation, SizeLimitExceeded
 from .graph_core import SelfLoopGraph
 
 _MAX_ENUM_K = 8
 _MAX_ENUM_ORDER = 12
-# The longest trace sweep `walks --kmax` runs: each power above 4 adds sparse
-# steps on ever larger integers, so the sweep over 1..k grows faster than k^2
-# (K10 with two loops, 2-vCPU host: 0.09 s at k = 64, 4 s at k = 512).
+# The longest trace sweep `walks --kmax` runs.  ``traces_upto`` takes kmax/2
+# sparse steps on integers that grow with k; with two loops on a 2-vCPU host
+# it took 0.009/0.26/2.3 s on K10/K40/K100 at kmax 64 and 6.3 s on K100 at
+# kmax 128, so doubling the cap would nearly triple the K100 sweep.
 _MAX_TRACE_K = 64
 
 
@@ -54,14 +64,26 @@ def enumerate_closed_walks(graph: SelfLoopGraph, k: int) -> WalkEnumeration:
             f"enumeration guarded to k <= {_MAX_ENUM_K} and order <= {_MAX_ENUM_ORDER}; "
             f"got k={k}, order={graph.order}")
 
-    loop_set = graph.loop_set
-    moves = [step + (v,) if v in loop_set else step
-             for v, step in enumerate(graph.neighbors)]
+    moves = _moves(graph)
     per_vertex = tuple(_count_closed_from(moves, v0, k) for v0 in range(graph.order))
     return WalkEnumeration(k=k, per_vertex=per_vertex, total=sum(per_vertex))
 
 
-def _count_closed_from(moves: list[tuple[int, ...]], v0: int, k: int) -> int:
+@functools.lru_cache(maxsize=1)
+def _moves(graph: SelfLoopGraph) -> tuple[tuple[int, ...], ...]:
+    """The move lists of the last graph enumerated, built from its edge and
+    loop lists: each vertex's neighbors in increasing order, then the vertex
+    itself when it is looped."""
+    moves: list[list[int]] = [[] for _ in range(graph.order)]
+    for u, v in graph.edges:
+        moves[u].append(v)
+        moves[v].append(u)
+    for v in graph.loops:
+        moves[v].append(v)
+    return tuple(map(tuple, moves))
+
+
+def _count_closed_from(moves: Sequence[tuple[int, ...]], v0: int, k: int) -> int:
     if k == 0:
         return 1
     if k == 1:
@@ -102,12 +124,7 @@ def matrix_power_diagonal(graph: SelfLoopGraph, k: int) -> tuple[int, ...]:
         for v in graph.loops:
             looped[v] = 1
         return tuple(looped)
-    rows = [0] * n
-    for u, v in graph.edges:
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-    for v in graph.loops:
-        rows[v] |= 1 << v
+    rows = _bit_rows(graph)
     if k == 2:
         return tuple(row.bit_count() for row in rows)
     if k == 3:
@@ -123,13 +140,61 @@ def matrix_power_diagonal(graph: SelfLoopGraph, k: int) -> tuple[int, ...]:
     if k == 4:
         return tuple(sum((row & other).bit_count() ** 2 for other in rows)
                      for row in rows)
-    square = [[(row & other).bit_count() for other in rows] for row in rows]
     supports = [[j for j in range(n) if row >> j & 1] for row in rows]
-    half = power = square
+    half = power = _square(rows)
     for b in range(3, k - k // 2 + 1):
-        # (A^b)_ij = sum over l in the support of row j of (A^(b-1))_il
-        power = [[sum(line[l] for l in support) for support in supports]
-                 for line in power]
+        power = _times_a(power, supports)
         if b == k // 2:
             half = power
     return tuple(sum(x * y for x, y in zip(h, p)) for h, p in zip(half, power))
+
+
+def traces_upto(graph: SelfLoopGraph, kmax: int) -> tuple[int, ...]:
+    """Exact traces of A^1..A^kmax in one pass (kmax >= 1).
+
+    Keeps A^1..A^h with h = ceil(kmax / 2) as dense integer rows and reads
+    tr A^k = sum_ij (A^a)_ij (A^b)_ij with a = k // 2 and b = k - a, as
+    ``matrix_power_diagonal`` does for one k.  A^2 is the popcounts of bit
+    row intersections, and each power above it is one sparse step of
+    n * (2m + sigma) additions, so the sweep takes h - 2 sparse steps and
+    kmax - 1 entrywise products of n^2 terms.
+    """
+    if kmax < 1:
+        raise ConstraintViolation(f"kmax must be at least 1, got {kmax}")
+    n = graph.order
+    rows = _bit_rows(graph)
+    supports = [[j for j in range(n) if row >> j & 1] for row in rows]
+    # powers[b - 1] is A^b
+    powers = [[[row >> j & 1 for j in range(n)] for row in rows]]
+    if kmax >= 3:
+        powers.append(_square(rows))
+    for _ in range(3, (kmax + 1) // 2 + 1):
+        powers.append(_times_a(powers[-1], supports))
+    traces = [len(graph.loops)]
+    for k in range(2, kmax + 1):
+        a, b = powers[k // 2 - 1], powers[k - k // 2 - 1]
+        traces.append(sum(x * y for p, q in zip(a, b) for x, y in zip(p, q)))
+    return tuple(traces)
+
+
+def _bit_rows(graph: SelfLoopGraph) -> list[int]:
+    """Row i of A as a bitmask: i's neighbors, and i itself when looped."""
+    rows = [0] * graph.order
+    for u, v in graph.edges:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    for v in graph.loops:
+        rows[v] |= 1 << v
+    return rows
+
+
+def _square(rows: list[int]) -> list[list[int]]:
+    """A^2 from the bit rows: (A^2)_ij = popcount(row_i & row_j)."""
+    return [[(row & other).bit_count() for other in rows] for row in rows]
+
+
+def _times_a(power: list[list[int]], supports: list[list[int]]) -> list[list[int]]:
+    """The next power: (P A)_ij = sum over l in the support of row j of
+    P_il, one sparse step of n * (2m + sigma) additions."""
+    return [[sum(line[l] for l in support) for support in supports]
+            for line in power]

@@ -350,12 +350,10 @@ def _equal_deviations(graph: SelfLoopGraph) -> tuple[bool, bool]:
     """
     n = graph.order
     sigma = graph.sigma
-    loop_set = graph.loop_set
     # row i of A: its neighbors, and i itself when looped
-    members = [(*nbrs, i) if i in loop_set else nbrs
-               for i, nbrs in enumerate(graph.neighbors)]
     bits = [mask | (graph.loop_mask & (1 << i))
             for i, mask in enumerate(graph.neighbor_masks)]
+    members = [[j for j in range(n) if row >> j & 1] for row in bits]
     nn = n * n
     c = [[nn * (row & other).bit_count() for other in bits] for row in bits]
     for i, row in enumerate(c):

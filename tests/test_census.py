@@ -17,9 +17,13 @@ def _random_graph(rng, n, edge_p=0.5, loop_p=0.5):
 
 
 def _neighbor_sets(g):
-    """Neighborhoods as sets built from the neighbor lists, so the reference
+    """Neighborhoods as sets built from the edge list, so the reference
     scans stay independent of the census's bit masks."""
-    return [set(nbrs) for nbrs in g.neighbors]
+    adj = [set() for _ in range(g.order)]
+    for u, v in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
 
 
 # -- first Zagreb index -------------------------------------------------
@@ -81,7 +85,7 @@ def test_loop_boundary_matches_direct_neighbor_scan():
 def test_loop_boundary_sum_balance_exhaustive_n4():
     for g in enumerate_all_graphs(4):
         n1, _, n1_sum = loop_boundary(g)
-        outside = sum(n1[v] for v in range(4) if v not in g.loop_set)
+        outside = sum(n1[v] for v in range(4) if v not in g.loops)
         assert n1_sum == outside
 
 
@@ -118,7 +122,7 @@ def test_triangle_census_against_triple_enumeration():
     graphs += [_random_graph(rng, 8 + i % 9, edge_p=0.2 + 0.1 * (i % 8))
                for i in range(40)]
     for g in graphs:
-        looped = g.loop_set
+        looped = set(g.loops)
         adj = _neighbor_sets(g)
         by_loops = [0, 0, 0, 0]
         for x, y, z in combinations(range(g.order), 3):
@@ -239,12 +243,13 @@ def test_census_identities_exhaustive_n5():
             n1, n2, n1_sum = loop_boundary(g)
             for v in g.loops:
                 assert n1[v] + n2[v] == g.degrees[v]
-            assert n1_sum == sum(n1[v] for v in range(n) if v not in g.loop_set)
+            looped_set = set(g.loops)
+            assert n1_sum == sum(n1[v] for v in range(n) if v not in looped_set)
             total, t1, t2, t3 = triangle_census(g)
             adj = _neighbor_sets(g)
             looped = sum(1 for x, y, z in combinations(range(n), 3)
                          if y in adj[x] and z in adj[x] and z in adj[y]
-                         and {x, y, z} & g.loop_set)
+                         and {x, y, z} & looped_set)
             assert t1 + t2 + t3 == looped <= total
             if g.sigma == 0:
                 # loops are irrelevant to the 4-cycle counts: check the

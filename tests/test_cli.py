@@ -618,7 +618,7 @@ def test_walks_refuses_kmax_past_the_trace_guard(monkeypatch, tmp_path, capsys):
         raise AssertionError("work done past the --kmax guard")
 
     monkeypatch.setattr(cli, "walk_counts", not_reached)
-    monkeypatch.setattr(cli, "trace_power", not_reached)
+    monkeypatch.setattr(cli, "traces_upto", not_reached)
     path = tmp_path / "vertex.txt"
     path.write_text("n 1\nl 0\n")
     assert main(["walks", str(path), "--kmax", str(oracle._MAX_TRACE_K + 1)]) == 2
@@ -627,6 +627,21 @@ def test_walks_refuses_kmax_past_the_trace_guard(monkeypatch, tmp_path, capsys):
     assert captured.err.count("\n") == 1
     assert captured.err.startswith("error: ") and "--kmax" in captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [["verify", "{path}", "--rst", "-1,-4,-2"],
+                                  ["walks", "{path}", "--kmax"]])
+def test_argument_errors_are_one_line(tmp_path, capsys, argv):
+    # argparse's own errors keep the one-line exit-2 contract
+    path = tmp_path / "g.txt"
+    path.write_text("n 2\ne 0 1\n")
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(path=path) for arg in argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
 
 
 # -- sampler ---------------------------------------------------------------------

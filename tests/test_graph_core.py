@@ -1,5 +1,4 @@
 import random
-from collections import deque
 
 import pytest
 
@@ -123,18 +122,70 @@ def test_is_connected_single_vertex_with_loop():
     assert is_connected(build(1, [], [0]))
 
 
-def test_is_connected_searches_once_per_graph(monkeypatch):
-    from loopwalks import graph_core
+def test_is_connected_searches_once_per_graph():
+    from loopwalks import SelfLoopGraph
     searches = []
 
-    def counting_deque(items):
-        searches.append(items)
-        return deque(items)
+    class CountingGraph(SelfLoopGraph):
+        # each search reads the masks once, so reads count searches
+        @property
+        def neighbor_masks(self):
+            searches.append(self)
+            return SelfLoopGraph.neighbor_masks.func(self)
 
-    monkeypatch.setattr(graph_core, "deque", counting_deque)
-    g = build(4, [(0, 1), (1, 2), (2, 3)])
+    g = CountingGraph(order=4, edges=((0, 1), (1, 2), (2, 3)), loops=())
     assert is_connected(g) and is_connected(g) and g.connected
     assert len(searches) == 1
+
+
+def _connected_by_edge_list(g):
+    """Reference search over adjacency lists built from the edge list."""
+    adj = [[] for _ in range(g.order)]
+    for u, v in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    seen = {0}
+    stack = [0]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == g.order
+
+
+def test_is_connected_matches_edge_list_search():
+    rng = random.Random(53)
+    graphs = [build(1, []), build(1, [], [0]), build(2, [(0, 1)]),
+              build(7, []), build(40, []), build(6, [], range(6)),
+              build(40, [], range(0, 40, 3))]
+    for _ in range(600):
+        n = rng.randint(1, 40)
+        # densities around the connectivity threshold give both outcomes
+        p = rng.choice((0.02, 0.05, 0.1, 0.2, 0.5))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        graphs.append(build(n, [e for e in pairs if rng.random() < p],
+                            [v for v in range(n) if rng.random() < 0.5]))
+    outcomes = [is_connected(g) for g in graphs]
+    assert outcomes == [_connected_by_edge_list(g) for g in graphs]
+    assert outcomes.count(True) >= 100 and outcomes.count(False) >= 100
+
+
+def test_graph_caches_only_the_bitmask_adjacency():
+    # after the formula, trace and enumeration routes, the graph holds its
+    # hash and the one derived adjacency, nothing per route
+    from loopwalks import enumerate_closed_walks, trace_power, walk_counts
+    from loopwalks import walks
+
+    walks._census.cache_clear()
+    g = build(6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (5, 3)],
+              [1, 3, 4])
+    walk_counts(g)
+    for k in range(1, 5):
+        trace_power(g, k)
+        enumerate_closed_walks(g, k)
+    derived = set(vars(g)) - {"order", "edges", "loops"}
+    assert derived == {"_hash", "neighbor_masks", "loop_mask", "degrees"}
 
 
 def test_loops_do_not_connect():

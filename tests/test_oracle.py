@@ -4,7 +4,7 @@ import pytest
 
 from loopwalks import (FamilySpec, LoopwalksError, SizeLimitExceeded, build,
                        enumerate_closed_walks, generate, trace_power)
-from loopwalks.oracle import matrix_power_diagonal
+from loopwalks.oracle import matrix_power_diagonal, traces_upto
 
 
 def test_trace_k1_is_loop_count(k4_three_loops):
@@ -32,7 +32,8 @@ def test_enumeration_petersen_listed_walks(petersen_one_loop):
     # vertex 1 carries the loop: triple looping, loop+edge combinations,
     # and one bounce per neighbor; each neighbor adds one walk of its own
     assert walks.per_vertex[1] == 7
-    neighbor_walks = [walks.per_vertex[v] for v in petersen_one_loop.neighbors[1]]
+    neighbors = [u + v - 1 for u, v in petersen_one_loop.edges if 1 in (u, v)]
+    neighbor_walks = [walks.per_vertex[v] for v in neighbors]
     assert neighbor_walks == [1, 1, 1]
 
 
@@ -161,3 +162,24 @@ def test_trace_large_power_exact():
     # so the k-th power trace is n^k; at k=20 this is far beyond 64 bits
     g = generate(FamilySpec.complete(12, loops=tuple(range(12))))
     assert trace_power(g, 20) == 12 ** 20
+
+
+def test_trace_sweep_matches_trace_power():
+    rng = random.Random(61)
+    graphs = [generate(FamilySpec.complete(10, loops=(0, 1))),
+              generate(FamilySpec.path(7, loops=(2,))),
+              build(5, []), build(1, []), build(1, [], [0])]
+    for _ in range(12):
+        n = rng.randint(2, 9)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        graphs.append(build(n, [p for p in pairs if rng.random() < 0.5],
+                            [v for v in range(n) if rng.random() < 0.5]))
+    for g in graphs:
+        expected = tuple(trace_power(g, k) for k in range(1, 65))
+        for kmax in (1, 2, 3, 4, 5, 6, 63, 64):
+            assert traces_upto(g, kmax) == expected[:kmax]
+
+
+def test_trace_sweep_rejects_kmax_below_one():
+    with pytest.raises(LoopwalksError):
+        traces_upto(build(2, [(0, 1)]), 0)

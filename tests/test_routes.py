@@ -57,6 +57,13 @@ def test_oracle_never_reads_census_masks():
     assert not _names_read(_tree("oracle")) & {"neighbor_masks", "loop_mask"}
 
 
+def test_oracle_reads_no_derived_adjacency():
+    # both check routes build their own structures from edges and loops
+    derived = {"neighbor_masks", "loop_mask", "degrees", "connected",
+               "neighbors", "loop_set"}
+    assert not _names_read(_tree("oracle")) & derived
+
+
 def test_census_imports_no_other_route():
     assert not _package_imports(_tree("census")) & {"oracle", "walks", "spectral"}
 
