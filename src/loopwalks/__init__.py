@@ -4,11 +4,11 @@ for graphs with self-loops."""
 from .census import (SubgraphCensus, four_cycle_census, loop_boundary,
                      subgraph_census, triangle_census)
 from .errors import (ConstraintViolation, DisconnectedInput, DuplicateEdge,
-                     GraphBuildError, HypothesisNotMet, IndexOutOfRange,
-                     InvalidLoopPlacement, InvalidSpec, LoopwalksError,
-                     NegativeExponentUnsupported, NoConvergence, ParseError,
-                     SamplerExhausted, SelfPairInEdgeList, SizeLimitExceeded,
-                     UnsupportedFamily)
+                     FloatOverflow, GraphBuildError, HypothesisNotMet,
+                     IndexOutOfRange, InvalidLoopPlacement, InvalidSpec,
+                     LoopwalksError, NegativeExponentUnsupported,
+                     NoConvergence, ParseError, SamplerExhausted,
+                     SelfPairInEdgeList, SizeLimitExceeded, UnsupportedFamily)
 from .families import FamilySpec, enumerate_all_graphs, generate
 from .graph_core import (AdjacencyMatrix, SelfLoopGraph, adjacency, build,
                          is_connected)

@@ -23,7 +23,9 @@ unless that text has an exponent or is nan/inf, which take the ``repr``
 of the rounded real instead.
 Exit status: 0 when every requested check holds, 1 when a verified
 inequality or cross-check fails (closed forms within 1e-7, relative above
-magnitude 1), 2 on input errors.
+magnitude 1), 2 on input errors.  ``verify`` skips a graph whose moment or
+bound overflows a float with a per-graph note, as it skips a disconnected
+graph, and reports the rest.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from pathlib import Path
 from typing import NoReturn, Sequence
 
 from . import oracle, spectral
-from .errors import LoopwalksError, SizeLimitExceeded
+from .errors import FloatOverflow, LoopwalksError, SizeLimitExceeded
 from .families import FAMILIES, FamilySpec, generate, sample_connected_graphs
 from .graph_core import SelfLoopGraph, is_connected
 from .graphio import load_graph, serialize_graph
@@ -258,6 +260,7 @@ def cmd_walks(graph: SelfLoopGraph, kmax: int) -> tuple[dict, int]:
     if kmax > oracle._MAX_TRACE_K:
         raise SizeLimitExceeded(
             f"--kmax must be <= {oracle._MAX_TRACE_K}, the trace sweep's guard, got {kmax}")
+    oracle._require_trace_work(graph, kmax)
     wc = walk_counts(graph)
     formula = {f"w{k}": getattr(wc, f"w{k}") for k in range(1, min(kmax, 4) + 1)}
     trace = {f"w{k}": t for k, t in enumerate(traces_upto(graph, kmax), 1)}
@@ -312,8 +315,11 @@ def _verify_one(graph: SelfLoopGraph, chain_depth: int,
         return [], "DisconnectedInput: connectivity hypotheses unmet; skipped"
     if graph.size < 1:
         return [], "HypothesisNotMet: the bounds assume at least one edge; skipped"
-    rows = [spectral.mcclelland_bound(graph)]
-    rows += spectral._bound_rows(graph, chain_depth, rst)
+    try:
+        rows = [spectral.mcclelland_bound(graph)]
+        rows += spectral._bound_rows(graph, chain_depth, rst)
+    except FloatOverflow as exc:
+        return [], f"FloatOverflow: {exc}; skipped"
     return rows, None
 
 

@@ -25,6 +25,11 @@ class SizeLimitExceeded(LoopwalksError, ValueError):
     """Input exceeds the size guard of an exponential-cost routine."""
 
 
+class FloatOverflow(SizeLimitExceeded):
+    """A twisted moment or a bound value of one graph is past the float
+    range."""
+
+
 class InvalidSpec(LoopwalksError, ValueError):
     """A family description is malformed or out of the generator's range."""
 

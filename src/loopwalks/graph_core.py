@@ -11,18 +11,41 @@ each cached on first read.  Degrees are popcounts of the masks and the
 connectivity search ORs them, so neither keeps a list of its own.  The
 enumeration and trace routes in ``oracle`` read none of these: they build
 their own structures from ``edges`` and ``loops``.
+
+The cached attributes are ``_lazy`` descriptors, not
+``functools.cached_property``: on Python 3.11 that takes an RLock on every
+first read (3.12 dropped the lock), and the exhaustive sweep reads most
+attributes of each of its 33,866 graphs only once, so the lock was a large
+share of filling them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import DuplicateEdge, IndexOutOfRange, SelfPairInEdgeList
 
 # Dense symmetric 0/1 matrix; entry (i, i) is 1 exactly for looped vertices.
 AdjacencyMatrix = tuple[tuple[int, ...], ...]
+
+
+class _lazy:
+    """A lazily computed attribute: the first read of an instance stores the
+    value in its ``__dict__`` under the same name, where later reads find it
+    before this non-data descriptor.  It takes no lock; graphs are immutable
+    values, so a race can only compute an equal value twice."""
+
+    def __init__(self, func: Callable):
+        self.func = func
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
 
 
 @dataclass(frozen=True)
@@ -41,7 +64,7 @@ class SelfLoopGraph:
     def __hash__(self) -> int:
         return self._hash
 
-    @cached_property
+    @_lazy
     def _hash(self) -> int:
         """The dataclass hash of the fields, computed once: the memos of
         the last graph hash it on every hit."""
@@ -57,7 +80,7 @@ class SelfLoopGraph:
         """Number of looped vertices."""
         return len(self.loops)
 
-    @cached_property
+    @_lazy
     def neighbor_masks(self) -> tuple[int, ...]:
         """Neighborhoods as bitmasks, bit v set iff v is adjacent: the one
         adjacency the graph derives."""
@@ -67,18 +90,18 @@ class SelfLoopGraph:
             masks[v] |= 1 << u
         return tuple(masks)
 
-    @cached_property
+    @_lazy
     def loop_mask(self) -> int:
         mask = 0
         for v in self.loops:
             mask |= 1 << v
         return mask
 
-    @cached_property
+    @_lazy
     def degrees(self) -> tuple[int, ...]:
-        return tuple(mask.bit_count() for mask in self.neighbor_masks)
+        return tuple(map(int.bit_count, self.neighbor_masks))
 
-    @cached_property
+    @_lazy
     def connected(self) -> bool:
         """Breadth-first reachability over proper edges; loops never matter.
         Each round ORs the masks of the frontier's vertices."""

@@ -9,8 +9,10 @@ path: from each start vertex it chains iterators over the move lists, so
 every walk prefix is one element of a C-level iterator, and counts the
 last vertices that step back to the start.  There is no popcount or
 aggregation of prefixes; the cost is the number of walks, exponential in
-k.  Only the move lists are kept, for the last graph enumerated, so the
-calls for k = 1..4 on one graph build them once.
+k.  Only the move lists and the closing rows (which vertices step back to
+each start) are kept, for the last graph enumerated, so the calls for
+k = 1..4 on one graph build them once; each walk prefix is still one
+iterator element of every call.
 
 The traces work on bit rows of the adjacency matrix, built here from the
 edge and loop lists (never from the census's neighbor masks), with the loop
@@ -20,7 +22,10 @@ one sparse step of O(n * (2m + sigma)) additions.  ``trace_power`` builds
 one power from scratch for each call; ``traces_upto``, the sweep behind
 ``walks --kmax``, keeps the powers up to A^ceil(kmax/2) and reads every
 trace up to kmax from them, so it takes ceil(kmax/2) - 2 sparse steps in
-all instead of about kmax^2 / 4.
+all instead of about kmax^2 / 4.  Both refuse, before building anything, a
+power whose estimated work (``_require_trace_work``) passes a budget of a
+few seconds; the check is a few integer products on the order, size and
+loop count, so the exhaustive sweep barely pays for it.
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from itertools import chain
-from typing import Sequence
 
 from .errors import ConstraintViolation, SizeLimitExceeded
 from .graph_core import SelfLoopGraph
@@ -40,6 +44,12 @@ _MAX_ENUM_ORDER = 12
 # it took 0.009/0.26/2.3 s on K10/K40/K100 at kmax 64 and 6.3 s on K100 at
 # kmax 128, so doubling the cap would nearly triple the K100 sweep.
 _MAX_TRACE_K = 64
+# The work a trace route may take, in units of one sparse-step addition; see
+# ``_require_trace_work``.  Units cost 0.05-0.11 us on a 2-vCPU host: K100
+# (two loops) at k = 64 is 32.2M units and took 2.9 s, K200 at 64 248M and
+# 17.9 s, the edgeless E640 at 64 102M and 9.9 s, P2000 at 16 272M and
+# 22.9 s, K640 at 6 269M and 12.8 s, and K640 at 4 3.3M and 0.36 s.
+_MAX_TRACE_WORK = 1 << 25
 
 
 @dataclass(frozen=True)
@@ -64,37 +74,46 @@ def enumerate_closed_walks(graph: SelfLoopGraph, k: int) -> WalkEnumeration:
             f"enumeration guarded to k <= {_MAX_ENUM_K} and order <= {_MAX_ENUM_ORDER}; "
             f"got k={k}, order={graph.order}")
 
-    moves = _moves(graph)
-    per_vertex = tuple(_count_closed_from(moves, v0, k) for v0 in range(graph.order))
+    n = graph.order
+    if k == 0:
+        return WalkEnumeration(k=0, per_vertex=(1,) * n, total=n)
+    moves, closers = _moves(graph)
+    if k == 1:
+        per_vertex = tuple(closes[v0] for v0, closes in enumerate(closers))
+    else:
+        # After j rounds the frontier holds the vertex v_(j+1) of every walk
+        # prefix v0..v_(j+1), one element per prefix, repeats included; the
+        # walk closes from v_(k-1) when that vertex steps back to v0.
+        step = moves.__getitem__
+        counts = []
+        for v0, closes in enumerate(closers):
+            frontier = moves[v0]
+            for _ in range(k - 2):
+                frontier = chain.from_iterable(map(step, frontier))
+            counts.append(sum(map(closes.__getitem__, frontier)))
+        per_vertex = tuple(counts)
     return WalkEnumeration(k=k, per_vertex=per_vertex, total=sum(per_vertex))
 
 
 @functools.lru_cache(maxsize=1)
-def _moves(graph: SelfLoopGraph) -> tuple[tuple[int, ...], ...]:
-    """The move lists of the last graph enumerated, built from its edge and
-    loop lists: each vertex's neighbors in increasing order, then the vertex
-    itself when it is looped."""
-    moves: list[list[int]] = [[] for _ in range(graph.order)]
+def _moves(graph: SelfLoopGraph) -> tuple[tuple[tuple[int, ...], ...],
+                                          tuple[tuple[int, ...], ...]]:
+    """The move lists and closing rows of the last graph enumerated, built
+    in one pass over its edge and loop lists.  ``moves[v]`` lists v's
+    neighbors in increasing order, then v itself when it is looped;
+    ``closers[v0][u]`` is 1 when u steps to v0 and 0 otherwise, an int so
+    that ``sum`` stays on its exact-int path."""
+    n = graph.order
+    moves: list[list[int]] = [[] for _ in range(n)]
+    closers = [[0] * n for _ in range(n)]
     for u, v in graph.edges:
         moves[u].append(v)
         moves[v].append(u)
+        closers[u][v] = closers[v][u] = 1
     for v in graph.loops:
         moves[v].append(v)
-    return tuple(map(tuple, moves))
-
-
-def _count_closed_from(moves: Sequence[tuple[int, ...]], v0: int, k: int) -> int:
-    if k == 0:
-        return 1
-    if k == 1:
-        return int(v0 in moves[v0])
-    # After j rounds the frontier holds the vertex v_(j+1) of every walk
-    # prefix v0..v_(j+1), one element per prefix, repeats included.
-    closes = [v0 in step for step in moves]
-    frontier = moves[v0]
-    for _ in range(k - 2):
-        frontier = chain.from_iterable(map(moves.__getitem__, frontier))
-    return sum(map(closes.__getitem__, frontier))
+        closers[v][v] = 1
+    return tuple(map(tuple, moves)), tuple(map(tuple, closers))
 
 
 def trace_power(graph: SelfLoopGraph, k: int) -> int:
@@ -114,7 +133,8 @@ def matrix_power_diagonal(graph: SelfLoopGraph, k: int) -> tuple[int, ...]:
     diag(A^k)_i = sum_j (A^a)_ij (A^b)_ij with a = k // 2 and b = k - a.
     k = 1 reads the loop bits, k = 2 is popcount(row_i), k = 3 takes
     2m + sigma popcounts and k = 4 takes n^2; each factor above A^2 in
-    A^b costs one sparse step of n * (2m + sigma) additions.
+    A^b costs one sparse step of n * (2m + sigma) additions.  Refuses k >= 2
+    past the work budget before building the rows.
     """
     if k < 1:
         raise ConstraintViolation(f"power must be at least 1, got {k}")
@@ -124,6 +144,7 @@ def matrix_power_diagonal(graph: SelfLoopGraph, k: int) -> tuple[int, ...]:
         for v in graph.loops:
             looped[v] = 1
         return tuple(looped)
+    _require_trace_work(graph, k)
     rows = _bit_rows(graph)
     if k == 2:
         return tuple(row.bit_count() for row in rows)
@@ -161,6 +182,7 @@ def traces_upto(graph: SelfLoopGraph, kmax: int) -> tuple[int, ...]:
     """
     if kmax < 1:
         raise ConstraintViolation(f"kmax must be at least 1, got {kmax}")
+    _require_trace_work(graph, kmax)
     n = graph.order
     rows = _bit_rows(graph)
     supports = [[j for j in range(n) if row >> j & 1] for row in rows]
@@ -175,6 +197,23 @@ def traces_upto(graph: SelfLoopGraph, kmax: int) -> tuple[int, ...]:
         a, b = powers[k // 2 - 1], powers[k - k // 2 - 1]
         traces.append(sum(x * y for p, q in zip(a, b) for x, y in zip(p, q)))
     return tuple(traces)
+
+
+def _require_trace_work(graph: SelfLoopGraph, k: int) -> None:
+    """Refuse a power or sweep up to A^k whose work passes _MAX_TRACE_WORK,
+    before anything is built.  Both routes make s = ceil(k/2) - 2 sparse
+    steps (none for k <= 4).  A^2 and each step fill n^2 entries, each
+    costing about 8 additions, and a step adds n * (2m + sigma) terms, so
+    the work is n * (8n + s * (8n + 2m + sigma)) units."""
+    n = graph.order
+    work = 8 * n * n
+    if k > 4:
+        work += n * ((k + 1) // 2 - 2) * (8 * n + 2 * len(graph.edges) + len(graph.loops))
+    if work > _MAX_TRACE_WORK:
+        raise SizeLimitExceeded(
+            f"the trace route is guarded to {_MAX_TRACE_WORK} units of work; "
+            f"got {work} for order {n}, {len(graph.edges)} edges, "
+            f"{len(graph.loops)} loops and k={k}")
 
 
 def _bit_rows(graph: SelfLoopGraph) -> list[int]:

@@ -15,7 +15,7 @@ exact closed-walk counts of ``walk_counts``.  The trace identities
 sum lambda^k = tr A^k, checked against ``oracle.trace_power`` in the tests,
 are the error detector that ties the spectrum to the exact counts.  A
 twisted moment or a bound whose value overflows a float is refused with
-``SizeLimitExceeded`` naming the exponent.
+``FloatOverflow`` (a ``SizeLimitExceeded``) naming the exponent.
 
 Each per-graph layer is computed once.  ``eigenvalues`` is the one
 solver entry point and always solves; every other function here reads the
@@ -52,9 +52,9 @@ from dataclasses import dataclass, field
 from operator import add, mul
 from typing import Iterable, Sequence
 
-from .errors import (ConstraintViolation, DisconnectedInput, HypothesisNotMet,
-                     NegativeExponentUnsupported, NoConvergence,
-                     SizeLimitExceeded)
+from .errors import (ConstraintViolation, DisconnectedInput, FloatOverflow,
+                     HypothesisNotMet, NegativeExponentUnsupported,
+                     NoConvergence, SizeLimitExceeded)
 from .graph_core import SelfLoopGraph, adjacency_rows, is_connected
 from .walks import walk_counts
 
@@ -90,7 +90,7 @@ class _Moments(dict):
         try:
             value = self[q] = math.fsum([d ** q for d in self.deviations])
         except OverflowError:
-            raise SizeLimitExceeded(
+            raise FloatOverflow(
                 f"the twisted moment with exponent q={q:g} overflows "
                 f"a float") from None
         return value
@@ -326,7 +326,7 @@ def _row(graph: SelfLoopGraph, name: str, lhs: float, rhs: float,
     holds when ``_equal_deviations`` proves it an equality, which needs the
     nonzero deviations all equal and, if it uses M_0 = n, none zero."""
     if not -math.inf < slack < math.inf:
-        raise SizeLimitExceeded(f"{name} overflows a float")
+        raise FloatOverflow(f"{name} overflows a float")
     holds = slack >= -tol
     if not holds and uses_m0 is not None:
         flat, zero_free = _equal_deviations(graph)

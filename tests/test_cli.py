@@ -381,20 +381,71 @@ def test_verify_rejects_non_finite_rst(k4_file, capsys):
     _assert_input_error(capsys, ["verify", k4_file, "--rst", "nan,0,2"], "nan")
 
 
-@pytest.mark.parametrize("argv,named", [
-    (["moments", "--q", "400"], "q=400"),
-    (["verify", "--chain-depth", "400"], "overflows a float"),
-    # M_148^2 and M_295^2 overflow although each moment is finite
-    (["verify", "--rst", "148,295,295"], "r=148,s=295,t=295"),
-    (["verify", "--rst", "149,297,297"], "q=297"),
-])
-def test_exponent_past_float_range_is_input_error(tmp_path, capsys, argv, named):
+def _k12_two_loops(tmp_path):
     # K_12 with two loops: |lambda - sigma/n| reaches about 11, and 11^296
     # is past the largest float
     path = tmp_path / "k12.txt"
     assert main(["generate", "--family", "complete", "--n", "12",
                  "--loops", "0,1", "-o", str(path)]) == 0
-    _assert_input_error(capsys, [argv[0], str(path), *argv[1:]], named)
+    return str(path)
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["moments", "--q", "400"], "q=400"),
+])
+def test_exponent_past_float_range_is_input_error(tmp_path, capsys, argv, named):
+    _assert_input_error(capsys, [argv[0], _k12_two_loops(tmp_path), *argv[1:]],
+                        named)
+
+
+@pytest.mark.parametrize("flags,named", [
+    (["--chain-depth", "400"], "overflows a float"),
+    # M_148^2 and M_295^2 overflow although each moment is finite
+    (["--rst", "148,295,295"], "r=148,s=295,t=295"),
+    (["--rst", "149,297,297"], "q=297"),
+])
+def test_verify_notes_a_graph_past_float_range(tmp_path, capsys, flags, named):
+    # the overflowing graph is skipped with a note; K_2, whose deviations
+    # are +-1, is still verified in the same run
+    k2 = tmp_path / "k2.txt"
+    k2.write_text("n 2\ne 0 1\n")
+    code, report = run_json(capsys, "verify", _k12_two_loops(tmp_path), str(k2),
+                            *flags)
+    assert code == 0
+    overflowed, verified = report["results"]
+    assert "bounds" not in overflowed
+    assert overflowed["note"].startswith("FloatOverflow: ")
+    assert named in overflowed["note"] and overflowed["note"].endswith("; skipped")
+    assert verified["bounds"] and all(row["holds"] for row in verified["bounds"])
+    assert report["summary"] == {"graphs": 2, "skipped": 1, "violations": 0}
+
+
+def test_verify_refuses_a_file_past_the_solver_guard(tmp_path, capsys):
+    # only an overflow becomes a note: an oversized graph still exits 2
+    path = tmp_path / "path.txt"
+    order = spectral._MAX_DENSE_ORDER + 1
+    path.write_text(f"n {order}\n" + "".join(f"e {v} {v + 1}\n"
+                                            for v in range(order - 1)))
+    _assert_input_error(capsys, ["verify", str(path)], "eigensolver")
+
+
+def test_verify_sample_keeps_the_graphs_that_do_not_overflow(capsys):
+    # one sampled graph's moment overflows at q = 449; the other graphs are
+    # still reported, and the exit status follows the reported rows
+    code, report = run_json(capsys, "verify", "--sample", "100", "--seed", "1",
+                            "--chain-depth", "512")
+    results = report["results"]
+    assert len(results) == 100
+    noted = [entry for entry in results if "note" in entry]
+    overflowed = [entry for entry in noted
+                  if entry["note"].startswith("FloatOverflow: ")]
+    assert "q=449" in overflowed[0]["note"]
+    assert report["summary"]["skipped"] == len(noted)
+    verified = [entry for entry in results if "bounds" in entry]
+    assert len(verified) + len(noted) == 100 and verified
+    violations = sum(not row["holds"] for entry in verified for row in entry["bounds"])
+    assert report["summary"]["violations"] == violations
+    assert code == (1 if violations else 0)
 
 
 @pytest.mark.parametrize("count", ["0", "-1"])
@@ -627,6 +678,23 @@ def test_walks_refuses_kmax_past_the_trace_guard(monkeypatch, tmp_path, capsys):
     assert captured.err.count("\n") == 1
     assert captured.err.startswith("error: ") and "--kmax" in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_walks_refuses_trace_work_past_the_budget(monkeypatch, tmp_path, capsys):
+    # K_102 with two loops at kmax 64 is just past the trace route's work
+    # budget (K_101 is inside it): refused before the census or any trace
+    from loopwalks import cli
+
+    def not_reached(*args):
+        raise AssertionError("work done past the trace work guard")
+
+    monkeypatch.setattr(cli, "walk_counts", not_reached)
+    monkeypatch.setattr(cli, "traces_upto", not_reached)
+    path = tmp_path / "k102.txt"
+    assert main(["generate", "--family", "complete", "--n", "102",
+                 "--loops", "0,1", "-o", str(path)]) == 0
+    _assert_input_error(capsys, ["walks", str(path), "--kmax", "64"],
+                        "the trace route is guarded")
 
 
 @pytest.mark.parametrize("argv", [["verify", "{path}", "--rst", "-1,-4,-2"],

@@ -188,6 +188,66 @@ def test_graph_caches_only_the_bitmask_adjacency():
     assert derived == {"_hash", "neighbor_masks", "loop_mask", "degrees"}
 
 
+def _lazy_names():
+    from loopwalks import SelfLoopGraph
+    from loopwalks.graph_core import _lazy
+
+    return sorted(name for name, value in vars(SelfLoopGraph).items()
+                  if isinstance(value, _lazy))
+
+
+def test_lazy_attributes_are_computed_once_per_graph():
+    from loopwalks import SelfLoopGraph
+    from loopwalks.graph_core import _lazy
+
+    names = _lazy_names()
+    assert names == ["_hash", "connected", "degrees", "loop_mask", "neighbor_masks"]
+    calls = []
+
+    def counting(name):
+        func = vars(SelfLoopGraph)[name].func
+
+        def fill(self):
+            calls.append(name)
+            return func(self)
+        fill.__name__ = name
+        return _lazy(fill)
+
+    CountingGraph = type("CountingGraph", (SelfLoopGraph,),
+                         {name: counting(name) for name in names})
+    g = CountingGraph(order=4, edges=((0, 1), (1, 2), (2, 3)), loops=(1,))
+    plain = build(4, [(0, 1), (1, 2), (2, 3)], [1])
+    for _ in range(3):
+        for name in names:
+            assert getattr(g, name) == getattr(plain, name)
+        assert hash(g) == hash(plain)
+    assert sorted(calls) == names
+    # later reads are the values stored in the instance dict
+    assert all(vars(g)[name] is getattr(g, name) for name in names)
+
+
+def test_lazy_attributes_stay_lazy_and_frozen():
+    import dataclasses
+
+    g = build(3, [(0, 1)], [2])
+    assert set(vars(g)) == {"order", "edges", "loops"}
+    assert g.degrees == (1, 1, 0)
+    assert set(vars(g)) == {"order", "edges", "loops", "neighbor_masks", "degrees"}
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.degrees = (0, 0, 0)
+
+
+def test_class_access_returns_the_descriptor_with_its_docstring():
+    from loopwalks import SelfLoopGraph
+    from loopwalks.graph_core import _lazy
+
+    for name in _lazy_names():
+        descriptor = getattr(SelfLoopGraph, name)
+        assert isinstance(descriptor, _lazy) and descriptor.name == name
+        assert descriptor.__doc__ == descriptor.func.__doc__
+    assert "bitmasks" in SelfLoopGraph.neighbor_masks.__doc__
+
+
 def test_loops_do_not_connect():
     g = build(2, [], [0, 1])
     assert not is_connected(g)

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from loopwalks import (FamilySpec, LoopwalksError, SizeLimitExceeded, build,
-                       enumerate_closed_walks, generate, trace_power)
+                       enumerate_closed_walks, generate, oracle, trace_power)
 from loopwalks.oracle import matrix_power_diagonal, traces_upto
 
 
@@ -61,6 +61,34 @@ def test_enumeration_matches_trace_small_random():
         g = build(n, edges, loops)
         for k in range(1, 6):
             assert enumerate_closed_walks(g, k).total == trace_power(g, k)
+
+
+def test_per_vertex_matches_power_diagonal_at_the_guards():
+    # orders 7-12 and every k up to the enumeration's guard, plus the
+    # edgeless, loops-only and path graphs at the longest walks
+    rng = random.Random(83)
+    graphs = [build(12, []), build(12, [], range(12)),
+              generate(FamilySpec.path(12, loops=(0, 5)))]
+    for _ in range(12):
+        n = rng.randint(7, 12)
+        density = rng.choice((0.2, 0.4))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        graphs.append(build(n, [p for p in pairs if rng.random() < density],
+                            [v for v in range(n) if rng.random() < 0.4]))
+    for g in graphs:
+        assert enumerate_closed_walks(g, 0).per_vertex == (1,) * g.order
+        for k in range(1, 9):
+            walks = enumerate_closed_walks(g, k)
+            assert walks.per_vertex == matrix_power_diagonal(g, k)
+            assert walks.total == sum(walks.per_vertex)
+
+
+def test_move_lists_are_built_once_per_graph():
+    g = build(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)], [2])
+    oracle._moves.cache_clear()
+    for k in range(9):
+        enumerate_closed_walks(g, k)
+    assert oracle._moves.cache_info().misses == 1
 
 
 def test_per_vertex_matches_power_diagonal():
@@ -183,3 +211,54 @@ def test_trace_sweep_matches_trace_power():
 def test_trace_sweep_rejects_kmax_below_one():
     with pytest.raises(LoopwalksError):
         traces_upto(build(2, [(0, 1)]), 0)
+
+
+def _trace_work(g, k):
+    """The trace guard's estimate: n * (8n + s * (8n + 2m + sigma)) with
+    s = ceil(k/2) - 2 sparse steps, none for k <= 4."""
+    n = g.order
+    steps = max((k + 1) // 2 - 2, 0)
+    return n * (8 * n + steps * (8 * n + 2 * g.size + g.sigma))
+
+
+def test_trace_routes_refuse_work_just_past_the_budget(monkeypatch):
+    # K_102 at k = 64 is the first complete graph past the budget; refused
+    # before any bit row is built
+    def not_reached(*args):
+        raise AssertionError("built rows past the trace work guard")
+
+    monkeypatch.setattr(oracle, "_bit_rows", not_reached)
+    big = generate(FamilySpec.complete(102, loops=(0, 1)))
+    assert _trace_work(big, 64) > oracle._MAX_TRACE_WORK
+    for route in (traces_upto, matrix_power_diagonal, trace_power):
+        with pytest.raises(SizeLimitExceeded, match="trace route is guarded"):
+            route(big, 64)
+
+
+def test_trace_budget_admits_the_logged_runs():
+    # K_101 at k = 64 and K_640 at k = 4 (0.36 s) pass the guard; K_640 at
+    # k = 6 (12.8 s) and the edgeless E_640 at k = 64 (9.9 s) do not
+    assert _trace_work(generate(FamilySpec.complete(101, loops=(0, 1))), 64) \
+        <= oracle._MAX_TRACE_WORK
+    k640 = generate(FamilySpec.complete(640, loops=(0, 1)))
+    oracle._require_trace_work(k640, 4)
+    for g, k in ((k640, 6), (build(640, []), 64)):
+        with pytest.raises(SizeLimitExceeded):
+            oracle._require_trace_work(g, k)
+
+
+@pytest.mark.parametrize("k", [2, 4, 5, 9, 16])
+def test_trace_routes_run_at_the_budget(monkeypatch, k):
+    # with the budget set to a graph's exact work, the routes run; one unit
+    # less and they refuse
+    g = generate(FamilySpec.petersen(loops=(1, 4)))
+    expected = matrix_power_diagonal(g, k)
+    sweep = traces_upto(g, k)
+    monkeypatch.setattr(oracle, "_MAX_TRACE_WORK", _trace_work(g, k))
+    assert matrix_power_diagonal(g, k) == expected
+    assert trace_power(g, k) == sum(expected) == sweep[-1]
+    assert traces_upto(g, k) == sweep
+    monkeypatch.setattr(oracle, "_MAX_TRACE_WORK", _trace_work(g, k) - 1)
+    for route in (traces_upto, matrix_power_diagonal, trace_power):
+        with pytest.raises(SizeLimitExceeded):
+            route(g, k)
