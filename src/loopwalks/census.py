@@ -18,12 +18,13 @@ each 4-cycle twice and each 4-clique six times, and the 4-cliques are one
 popcount per triangle.  The cost is O(n^2) mask popcounts over the
 vertices of degree >= 2 plus one popcount per edge and per triangle;
 edgeless graphs cost O(n).  ``subgraph_census`` refuses orders above 640,
-as the eigensolver does, before any part runs.
+as the eigensolver does, before any part runs.  ``SubgraphCensus.as_dict``,
+what ``census`` prints, is its fields by name.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 
 from .errors import SizeLimitExceeded
@@ -50,17 +51,7 @@ class SubgraphCensus:
     k4_count: int
 
     def as_dict(self) -> dict:
-        return {
-            "zagreb1": self.zagreb1,
-            "degree_sum_S": self.degree_sum_S,
-            "n1_per_vertex": list(self.n1_per_vertex),
-            "n2_per_vertex": list(self.n2_per_vertex),
-            "n1_sum_S": self.n1_sum_S,
-            "triangles_total": self.triangles_total,
-            "tri_loops": list(self.tri_loops),
-            "c4_not_k4": self.c4_not_k4,
-            "k4_count": self.k4_count,
-        }
+        return asdict(self)
 
 
 def loop_boundary(graph: SelfLoopGraph) -> tuple[tuple[int, ...], tuple[int, ...], int]:

@@ -47,8 +47,6 @@ from .census import subgraph_census
 from .oracle import traces_upto
 from .walks import walk_counts
 
-_CLOSED_FORM_TOL = 1e-7
-_DEFAULT_CS_EXPONENTS = spectral._DEFAULT_CS_EXPONENTS
 _DEFAULT_RST = ((1.0, 0.0, 2.0), (1.5, 2.0, 2.0), (2.0, 3.0, 3.0))
 
 
@@ -272,36 +270,10 @@ def cmd_walks(graph: SelfLoopGraph, kmax: int) -> tuple[dict, int]:
 
 def cmd_moments(graph: SelfLoopGraph, qs: Sequence[float]) -> tuple[dict, int]:
     """Spectrum, exact moments, twisted moments, and closed-form checks."""
-    report_data = spectral.moment_report(graph, qs=qs)
-    spec = report_data.spectrum
-    m3_direct = spectral.twisted_moment(graph, 3.0)
-    m4_direct = spectral.twisted_moment(graph, 4.0)
-    closed_ok = (_closed_form_agrees(report_data.m3_closed, m3_direct)
-                 and _closed_form_agrees(report_data.m4_closed, m4_direct))
-    bounds = list(report_data.bounds)
-    report = _graph_report(
-        graph,
-        moments={
-            "eigenvalues": list(spec.eigenvalues),
-            "residual": spec.residual,
-            "sweeps": spec.sweeps_used,
-            "spectral_moments": list(report_data.spectral_moments),
-            "twisted": {f"{q:g}": value for q, value in report_data.twisted},
-            "energy": report_data.energy,
-            "m3_closed": report_data.m3_closed,
-            "m3_direct": m3_direct,
-            "m4_closed": report_data.m4_closed,
-            "m4_direct": m4_direct,
-            "closed_forms_agree": closed_ok,
-        },
-        bounds=bounds)
-    failed = (not closed_ok) or any(not record["holds"] for record in bounds)
-    return report, 1 if failed else 0
-
-
-def _closed_form_agrees(closed: float, direct: float) -> bool:
-    """Agreement within 1e-7, relative once |direct| exceeds 1."""
-    return abs(closed - direct) <= _CLOSED_FORM_TOL * max(1.0, abs(direct))
+    sections = spectral.moment_report(graph, qs=qs)
+    failed = (not sections["moments"]["closed_forms_agree"]
+              or any(not record["holds"] for record in sections["bounds"]))
+    return _graph_report(graph, **sections), 1 if failed else 0
 
 
 def cmd_census(graph: SelfLoopGraph) -> tuple[dict, int]:
@@ -344,7 +316,7 @@ def cmd_verify(labeled_graphs: Sequence[tuple[str, SelfLoopGraph]],
     report = {
         "chain_depth": chain_depth,
         "rst": [list(triple) for triple in rst],
-        "cs_exponents": list(_DEFAULT_CS_EXPONENTS),
+        "cs_exponents": list(spectral._DEFAULT_CS_EXPONENTS),
         "results": results,
         "summary": {
             "graphs": len(results),

@@ -21,6 +21,9 @@ FAMILIES = ("complete", "complete_bipartite", "cycle", "path", "wheel",
             "star", "kneser", "petersen")
 
 _MAX_EXHAUSTIVE_ORDER = 5
+# a draw takes about 1.2 us: the budget gives up in 4-5 s (CHANGES.md) and
+# fits 20 rejections in a row at order 640
+_MAX_REJECTED_DRAWS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -234,13 +237,16 @@ class SplitMix64:
 def sample_connected_graphs(count: int, n_lo: int, n_hi: int,
                             edge_prob: float, loop_prob: float,
                             seed: int) -> list[SelfLoopGraph]:
-    """Rejection-sample connected graphs with at least one edge."""
+    """Rejection-sample connected graphs with at least one edge.  Gives up
+    after 1000 attempts per graph, or once the attempts rejected in a row
+    have drawn more than _MAX_REJECTED_DRAWS numbers."""
     rng = SplitMix64(seed)
     out: list[SelfLoopGraph] = []
     attempts = 0
+    rejected_draws = 0
     while len(out) < count:
         attempts += 1
-        if attempts > 1000 * max(count, 1):
+        if attempts > 1000 * max(count, 1) or rejected_draws > _MAX_REJECTED_DRAWS:
             raise SamplerExhausted("sampler keeps producing disconnected graphs; "
                                    "raise the edge probability")
         n = n_lo + rng.below(n_hi - n_lo + 1)
@@ -250,4 +256,7 @@ def sample_connected_graphs(count: int, n_lo: int, n_hi: int,
         graph = SelfLoopGraph(order=n, edges=edges, loops=loops)
         if graph.size >= 1 and is_connected(graph):
             out.append(graph)
+            rejected_draws = 0
+        else:
+            rejected_draws += 1 + n * (n + 1) // 2
     return out

@@ -18,14 +18,15 @@ The traces work on bit rows of the adjacency matrix, built here from the
 edge and loop lists (never from the census's neighbor masks), with the loop
 bit on the diagonal.  Entries of A^2 are popcounts of row intersections, so
 diagonals up to k = 4 cost O(n^2) popcounts; each further factor of A costs
-one sparse step of O(n * (2m + sigma)) additions.  ``trace_power`` builds
-one power from scratch for each call; ``traces_upto``, the sweep behind
-``walks --kmax``, keeps the powers up to A^ceil(kmax/2) and reads every
-trace up to kmax from them, so it takes ceil(kmax/2) - 2 sparse steps in
-all instead of about kmax^2 / 4.  Both refuse, before building anything, a
-power whose estimated work (``_require_trace_work``) passes a budget of a
-few seconds; the check is a few integer products on the order, size and
-loop count, so the exhaustive sweep barely pays for it.
+one sparse step of O(n * (2m + sigma)) additions.  Above k = 4 both trace
+routes read one ladder, ``_powers``, which builds A^1..A^h as dense integer
+rows.  ``trace_power`` climbs it from scratch for each call; ``traces_upto``,
+the sweep behind ``walks --kmax``, climbs it once to A^ceil(kmax/2) and
+reads every trace up to kmax from it, so it takes ceil(kmax/2) - 2 sparse
+steps in all instead of about kmax^2 / 4.  Both refuse, before building
+anything, a power whose estimated work (``_require_trace_work``) passes a
+budget of a few seconds; the check is a few integer products on the
+order, size and loop count, so the exhaustive sweep barely pays for it.
 """
 
 from __future__ import annotations
@@ -161,37 +162,23 @@ def matrix_power_diagonal(graph: SelfLoopGraph, k: int) -> tuple[int, ...]:
     if k == 4:
         return tuple(sum((row & other).bit_count() ** 2 for other in rows)
                      for row in rows)
-    supports = [[j for j in range(n) if row >> j & 1] for row in rows]
-    half = power = _square(rows)
-    for b in range(3, k - k // 2 + 1):
-        power = _times_a(power, supports)
-        if b == k // 2:
-            half = power
+    powers = _powers(rows, k - k // 2)
+    half, power = powers[k // 2 - 1], powers[-1]
     return tuple(sum(x * y for x, y in zip(h, p)) for h, p in zip(half, power))
 
 
 def traces_upto(graph: SelfLoopGraph, kmax: int) -> tuple[int, ...]:
     """Exact traces of A^1..A^kmax in one pass (kmax >= 1).
 
-    Keeps A^1..A^h with h = ceil(kmax / 2) as dense integer rows and reads
+    Keeps A^1..A^h with h = ceil(kmax / 2) from ``_powers`` and reads
     tr A^k = sum_ij (A^a)_ij (A^b)_ij with a = k // 2 and b = k - a, as
-    ``matrix_power_diagonal`` does for one k.  A^2 is the popcounts of bit
-    row intersections, and each power above it is one sparse step of
-    n * (2m + sigma) additions, so the sweep takes h - 2 sparse steps and
-    kmax - 1 entrywise products of n^2 terms.
+    ``matrix_power_diagonal`` does for one k, so the sweep takes h - 2
+    sparse steps and kmax - 1 entrywise products of n^2 terms.
     """
     if kmax < 1:
         raise ConstraintViolation(f"kmax must be at least 1, got {kmax}")
     _require_trace_work(graph, kmax)
-    n = graph.order
-    rows = _bit_rows(graph)
-    supports = [[j for j in range(n) if row >> j & 1] for row in rows]
-    # powers[b - 1] is A^b
-    powers = [[[row >> j & 1 for j in range(n)] for row in rows]]
-    if kmax >= 3:
-        powers.append(_square(rows))
-    for _ in range(3, (kmax + 1) // 2 + 1):
-        powers.append(_times_a(powers[-1], supports))
+    powers = _powers(_bit_rows(graph), (kmax + 1) // 2)
     traces = [len(graph.loops)]
     for k in range(2, kmax + 1):
         a, b = powers[k // 2 - 1], powers[k - k // 2 - 1]
@@ -227,13 +214,18 @@ def _bit_rows(graph: SelfLoopGraph) -> list[int]:
     return rows
 
 
-def _square(rows: list[int]) -> list[list[int]]:
-    """A^2 from the bit rows: (A^2)_ij = popcount(row_i & row_j)."""
-    return [[(row & other).bit_count() for other in rows] for row in rows]
-
-
-def _times_a(power: list[list[int]], supports: list[list[int]]) -> list[list[int]]:
-    """The next power: (P A)_ij = sum over l in the support of row j of
-    P_il, one sparse step of n * (2m + sigma) additions."""
-    return [[sum(line[l] for l in support) for support in supports]
-            for line in power]
+def _powers(rows: list[int], h: int) -> list[list[list[int]]]:
+    """A^1..A^h (h >= 1) as dense integer rows, from the bit rows of A.
+    (A^2)_ij = popcount(row_i & row_j), and each power above it is one
+    sparse step of n * (2m + sigma) additions: (P A)_ij is the sum of P_il
+    over l in the support of row j."""
+    n = len(rows)
+    powers = [[[row >> j & 1 for j in range(n)] for row in rows]]
+    if h >= 2:
+        powers.append([[(row & other).bit_count() for other in rows]
+                       for row in rows])
+    supports = [[j for j in range(n) if row >> j & 1] for row in rows]
+    for _ in range(3, h + 1):
+        powers.append([[sum(map(line.__getitem__, support)) for support in supports]
+                       for line in powers[-1]])
+    return powers

@@ -26,7 +26,8 @@ each twisted moment M_q = sum |eigenvalue - sigma/n|^q is computed once
 per (spectrum, exponent): ``eigenvalues`` builds the ``Spectrum`` with
 ``moments``, the one mapping that memoises the correctly rounded sums, so
 the energy, Cauchy-Schwarz, ratio-chain and energy lower-bound checks on
-one graph share them.
+one graph share them.  ``moment_report`` returns the ``moments`` and
+``bounds`` sections the ``moments`` report prints, as one dict.
 
 The bounds are evaluated once per graph.  An evaluated bound has one
 form, the {"name", "lhs", "rhs", "slack", "holds"} dict a report holds,
@@ -108,20 +109,6 @@ class Spectrum:
     residual: float
     sweeps_used: int
     moments: _Moments = field(compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class MomentReport:
-    """Spectrum, spectral moments, twisted moments, energy, and bound
-    evaluations."""
-
-    spectrum: Spectrum
-    spectral_moments: tuple[int, ...]
-    twisted: tuple[tuple[float, float], ...]
-    energy: float
-    m3_closed: float
-    m4_closed: float
-    bounds: tuple[dict, ...]
 
 
 def eigenvalues(graph: SelfLoopGraph) -> Spectrum:
@@ -265,6 +252,13 @@ def energy(graph: SelfLoopGraph) -> float:
 
 # -- closed forms of the third and fourth twisted moments --------------
 
+_CLOSED_FORM_TOL = 1e-7
+
+
+def _closed_form_agrees(closed: float, direct: float) -> bool:
+    """Agreement within 1e-7, relative once |direct| exceeds 1."""
+    return abs(closed - direct) <= _CLOSED_FORM_TOL * max(1.0, abs(direct))
+
 
 def m4_closed_form(graph: SelfLoopGraph) -> float:
     """Fourth twisted moment from the exact walk counts alone."""
@@ -378,7 +372,6 @@ def _equal_deviations(graph: SelfLoopGraph) -> tuple[bool, bool]:
     return True, trace * trace == n * trace_sq
 
 
-@functools.lru_cache(maxsize=256)
 def _cs_term(p: float, q: float) -> tuple[str, float, float, float, bool]:
     """(name, q, 2q - 2p, 2p, whether M_0 is used) of the Cauchy-Schwarz
     row at (p, q)."""
@@ -550,22 +543,32 @@ def energy_lower_bounds(graph: SelfLoopGraph,
 
 
 def moment_report(graph: SelfLoopGraph,
-                  qs: Sequence[float] = (0.0, 1.0, 2.0, 3.0, 4.0)) -> MomentReport:
-    """Bundle of the spectrum, exact moments M_0..M_4 (the order and the
-    closed-walk counts), twisted moments, energy, closed forms, and the
-    standard bound evaluations (when the hypotheses hold).  The spectrum
-    comes first, so an order past the solver's guard is refused before any
-    other work."""
+                  qs: Sequence[float] = (0.0, 1.0, 2.0, 3.0, 4.0)) -> dict:
+    """{"moments": {...}, "bounds": [...]}, the sections the ``moments``
+    report prints: the spectrum, M_0..M_4 (the order and the closed-walk
+    counts), the twisted moments at ``qs``, the energy, the closed forms of
+    M_3 and M_4 against the direct sums, and the bound rows if the graph is
+    connected with an edge.  The spectrum comes first, so an order past the
+    solver's guard is refused before any other work."""
     spectrum = _spectrum(graph)
     wc = walk_counts(graph)
-    twisted = tuple((float(q), twisted_moment(graph, q)) for q in qs)
-    bounds: tuple[dict, ...] = ()
+    twisted = {f"{float(q):g}": twisted_moment(graph, q) for q in qs}
+    bounds = []
     if is_connected(graph) and graph.size >= 1:
-        bounds = (mcclelland_bound(graph), *energy_lower_bounds(graph))
-    return MomentReport(spectrum=spectrum,
-                        spectral_moments=(graph.order, wc.w1, wc.w2, wc.w3, wc.w4),
-                        twisted=twisted,
-                        energy=energy(graph),
-                        m3_closed=m3_closed_form(graph),
-                        m4_closed=m4_closed_form(graph),
-                        bounds=bounds)
+        bounds = [mcclelland_bound(graph), *energy_lower_bounds(graph)]
+    moments = {
+        "eigenvalues": list(spectrum.eigenvalues),
+        "residual": spectrum.residual,
+        "sweeps": spectrum.sweeps_used,
+        "spectral_moments": [graph.order, wc.w1, wc.w2, wc.w3, wc.w4],
+        "twisted": twisted,
+        "energy": energy(graph),
+        "m3_closed": m3_closed_form(graph),
+        "m4_closed": m4_closed_form(graph),
+        "m3_direct": twisted_moment(graph, 3.0),
+        "m4_direct": twisted_moment(graph, 4.0),
+    }
+    moments["closed_forms_agree"] = (
+        _closed_form_agrees(moments["m3_closed"], moments["m3_direct"])
+        and _closed_form_agrees(moments["m4_closed"], moments["m4_direct"]))
+    return {"moments": moments, "bounds": bounds}

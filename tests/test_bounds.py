@@ -12,8 +12,9 @@ from loopwalks import (FamilySpec, SizeLimitExceeded, build, eigenvalues,
                        twisted_moment, verify_cauchy_schwarz,
                        verify_ratio_chain)
 from loopwalks import spectral
-from loopwalks.cli import _DEFAULT_CS_EXPONENTS, _DEFAULT_RST, _verify_one
+from loopwalks.cli import _DEFAULT_RST, _verify_one
 from loopwalks.families import sample_connected_graphs
+from loopwalks.spectral import _DEFAULT_CS_EXPONENTS
 
 RST = ((1.0, 0.0, 2.0), (0.75, 0.0, 1.0), (2.5, 4.0, 4.0))
 

@@ -222,6 +222,20 @@ def test_moments_disconnected_warns(tmp_path, capsys):
     assert any("disconnected" in w for w in report["warnings"])
 
 
+@pytest.mark.parametrize("text", ["n 5\ne 0 1\ne 1 2\ne 2 3\ne 3 4\ne 0 4\nl 1\nl 3\n",
+                                  "n 4\ne 0 1\ne 2 3\nl 2\n"])
+def test_moments_report_is_the_moment_report_sections(tmp_path, capsys, text):
+    # cmd_moments adds only the graph summary and warning to moment_report
+    from loopwalks.cli import _graph_report, render_report
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    graph = parse_graph(text)
+    qs = (0.0, 0.5, 1.0, 3.0)
+    _, report = run_json(capsys, "moments", str(path), "--q", "0,0.5,1,3")
+    sections = spectral.moment_report(graph, qs)
+    assert json.loads(render_report(_graph_report(graph, **sections), "json")) == report
+
+
 def test_moments_refuses_an_order_past_the_solver_guard(monkeypatch, tmp_path, capsys):
     # refused before the dense matrix, the traces or the census are built
     from loopwalks import oracle
@@ -481,6 +495,20 @@ def test_verify_accepts_probability_end_points(capsys):
 def test_verify_sampler_exhaustion_is_input_error(capsys):
     _assert_input_error(capsys, ["verify", "--sample", "1", "--n-range", "6,6",
                                  "--edge-prob", "1e-9"], "edge probability")
+
+
+@pytest.mark.parametrize("budget, expected", [(44, 0), (43, 2)])
+def test_verify_sampler_gives_up_past_the_rejected_draw_budget(
+        monkeypatch, capsys, budget, expected):
+    # at order 6 an attempt draws 1 + 21 numbers, and seed 42 rejects two
+    # attempts before it accepts one
+    from loopwalks import families
+    monkeypatch.setattr(families, "_MAX_REJECTED_DRAWS", budget)
+    argv = ["verify", "--sample", "1", "--n-range", "6,6", "--edge-prob", "0.2"]
+    if expected:
+        _assert_input_error(capsys, argv, "edge probability")
+    else:
+        assert main(argv) == 0
 
 
 def test_verify_refuses_n_range_past_the_solver_guard(monkeypatch, capsys):

@@ -192,7 +192,7 @@ def test_trace_large_power_exact():
     assert trace_power(g, 20) == 12 ** 20
 
 
-def test_trace_sweep_matches_trace_power():
+def _sweep_graphs():
     rng = random.Random(61)
     graphs = [generate(FamilySpec.complete(10, loops=(0, 1))),
               generate(FamilySpec.path(7, loops=(2,))),
@@ -202,9 +202,22 @@ def test_trace_sweep_matches_trace_power():
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         graphs.append(build(n, [p for p in pairs if rng.random() < 0.5],
                             [v for v in range(n) if rng.random() < 0.5]))
-    for g in graphs:
+    return graphs
+
+
+def test_trace_sweep_matches_trace_power():
+    for g in _sweep_graphs():
         expected = tuple(trace_power(g, k) for k in range(1, 65))
         for kmax in (1, 2, 3, 4, 5, 6, 63, 64):
+            assert traces_upto(g, kmax) == expected[:kmax]
+
+
+def test_trace_sweep_matches_dense_products():
+    # the sweep and trace_power above k = 4 read one power ladder; plain
+    # dense products check it independently
+    for g in _sweep_graphs():
+        expected = tuple(sum(_dense_power_diagonal(g, k)) for k in range(1, 17))
+        for kmax in range(1, 17):
             assert traces_upto(g, kmax) == expected[:kmax]
 
 

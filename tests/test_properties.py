@@ -37,11 +37,11 @@ def test_formula_trace_and_enumeration_agree(g):
 @_SETTINGS
 @given(looped_graphs())
 def test_spectral_moments_match_traces(g):
-    report = moment_report(g)
-    traces = tuple(trace_power(g, k) for k in range(5))
-    assert report.spectral_moments == traces
+    moments = moment_report(g)["moments"]
+    traces = [trace_power(g, k) for k in range(5)]
+    assert moments["spectral_moments"] == traces
     for k in range(1, 5):
-        power_sum = math.fsum(x ** k for x in report.spectrum.eigenvalues)
+        power_sum = math.fsum(x ** k for x in moments["eigenvalues"])
         assert abs(power_sum - traces[k]) <= 1e-8 * max(1, traces[k])
 
 

@@ -12,8 +12,9 @@ from loopwalks import (ConstraintViolation, DisconnectedInput, FamilySpec,
                        mcclelland_bound, moment_report, trace_power,
                        twisted_moment, verify_cauchy_schwarz,
                        verify_ratio_chain, walk_counts)
-from loopwalks.cli import _DEFAULT_CS_EXPONENTS, _DEFAULT_RST
-from loopwalks.spectral import _center_split, _m3_closed_with_j, _spectrum
+from loopwalks.cli import _DEFAULT_RST
+from loopwalks.spectral import (_DEFAULT_CS_EXPONENTS, _center_split,
+                                _m3_closed_with_j, _spectrum)
 
 
 def _random_graph(rng, n, edge_p=0.5, loop_p=0.5):
@@ -494,15 +495,16 @@ def test_positivity_connected_suite_spot():
 def test_moment_report_invariants(k4_three_loops):
     report = moment_report(k4_three_loops, qs=(0.0, 1.0, 2.0))
     g = k4_three_loops
-    twisted = dict(report.twisted)
-    assert twisted[0.0] == pytest.approx(g.order, abs=1e-12)
-    assert twisted[1.0] == pytest.approx(report.energy, abs=1e-12)
-    assert twisted[2.0] == pytest.approx(
+    moments = report["moments"]
+    twisted = moments["twisted"]
+    assert twisted["0"] == pytest.approx(g.order, abs=1e-12)
+    assert twisted["1"] == pytest.approx(moments["energy"], abs=1e-12)
+    assert twisted["2"] == pytest.approx(
         2 * g.size + g.sigma - g.sigma ** 2 / g.order, abs=1e-8)
-    assert report.spectral_moments == (4, 3, 15, 54, 207)
-    assert all(record["holds"] for record in report.bounds)
+    assert moments["spectral_moments"] == [4, 3, 15, 54, 207]
+    assert all(record["holds"] for record in report["bounds"])
 
 
 def test_moment_report_disconnected_has_no_bounds():
     report = moment_report(build(4, [(0, 1), (2, 3)]))
-    assert report.bounds == ()
+    assert report["bounds"] == []
