@@ -288,8 +288,10 @@ def _verify_one(graph: SelfLoopGraph, chain_depth: int,
     if graph.size < 1:
         return [], "HypothesisNotMet: the bounds assume at least one edge; skipped"
     try:
-        rows = [spectral.mcclelland_bound(graph)]
-        rows += spectral._bound_rows(graph, chain_depth, rst)
+        rows = [spectral.mcclelland_bound(graph),
+                *spectral._cs_rows(graph, spectral._cs_grid()),
+                *spectral.verify_ratio_chain(graph, chain_depth),
+                *spectral.energy_lower_bounds(graph, rst)]
     except FloatOverflow as exc:
         return [], f"FloatOverflow: {exc}; skipped"
     return rows, None
@@ -521,7 +523,13 @@ def _verify_from_args(args: argparse.Namespace) -> tuple[dict, int]:
                         "edge_prob": args.edge_prob, "loop_prob": args.loop_prob,
                         "seed": args.seed}
     for path in args.files:
-        labeled.append((path, load_graph(path)))
+        graph = load_graph(path)
+        # refused before the connectivity check builds its O(n) bit rows
+        if graph.order > spectral._MAX_DENSE_ORDER:
+            raise SizeLimitExceeded(
+                f"{path} has order {graph.order}, past the eigensolver's "
+                f"order guard of {spectral._MAX_DENSE_ORDER}")
+        labeled.append((path, graph))
     if not labeled:
         raise LoopwalksError("verify needs graph files or --sample")
     return cmd_verify(labeled, args.chain_depth, rst, sampler_info=sampler_info)

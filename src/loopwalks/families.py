@@ -8,7 +8,6 @@ which family they came from.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator
@@ -21,6 +20,9 @@ FAMILIES = ("complete", "complete_bipartite", "cycle", "path", "wheel",
             "star", "kneser", "petersen")
 
 _MAX_EXHAUSTIVE_ORDER = 5
+# the census and the eigensolver refuse larger orders, so no subcommand
+# reads a larger graph
+_MAX_GENERATED_ORDER = 640
 # a draw takes about 1.2 us: the budget gives up in 4-5 s (CHANGES.md) and
 # fits 20 rejections in a row at order 640
 _MAX_REJECTED_DRAWS = 1 << 22
@@ -107,7 +109,8 @@ class FamilySpec:
     def kneser(cls, k: int, loops: Iterable[int] = ()) -> "FamilySpec":
         if k < 2:
             raise InvalidSpec(f"Kneser parameter must satisfy k >= 2, got {k}")
-        order = math.comb(2 * k + 1, k)
+        loops = tuple(loops)
+        order = _kneser_order(k, max(loops, default=0))
         return cls(family="kneser", k=k, loops=_check_loops(loops, order))
 
     @classmethod
@@ -139,6 +142,31 @@ class FamilySpec:
         return 0 in self.loops
 
 
+def _kneser_order(k: int, cap: int) -> int:
+    """C(2k + 1, k), the order of the Kneser graph K(2k + 1, k), or a number
+    past ``cap`` once the order passes it.  C(2j + 1, j) grows about 4^j, so
+    this takes O(log cap) steps for any k; ``math.comb`` takes 41 s at
+    k = 10^6 on one 2.1 GHz Xeon core (Python 3.11)."""
+    order = 3  # C(3, 1)
+    for j in range(1, k):
+        if order > cap:
+            break
+        order = order * (2 * j + 3) * (2 * j + 2) // ((j + 1) * (j + 2))
+    return order
+
+
+def _order(spec: FamilySpec, cap: int) -> int:
+    """The order of the graph a spec describes, or a number past ``cap``
+    once a Kneser order passes it."""
+    if spec.family == "complete_bipartite":
+        return spec.a + spec.b
+    if spec.family == "kneser":
+        return _kneser_order(spec.k, cap)
+    if spec.family == "petersen":
+        return 10
+    return spec.n
+
+
 def _check_loops(loops: Iterable[int], order: int) -> tuple[int, ...]:
     out = tuple(sorted(loops))
     for v in out:
@@ -150,7 +178,15 @@ def _check_loops(loops: Iterable[int], order: int) -> tuple[int, ...]:
 
 
 def generate(spec: FamilySpec) -> SelfLoopGraph:
-    """Build the labeled graph a spec describes."""
+    """Build the labeled graph a spec describes.
+
+    Refuses orders above _MAX_GENERATED_ORDER before building any edge.
+    """
+    if _order(spec, _MAX_GENERATED_ORDER) > _MAX_GENERATED_ORDER:
+        raise SizeLimitExceeded(
+            f"generated graphs are guarded to order <= {_MAX_GENERATED_ORDER}, "
+            f"the largest order the census and the eigensolver accept; this "
+            f"{spec.family} spec asks for a larger one")
     family = spec.family
     if family == "complete":
         edges = list(combinations(range(spec.n), 2))
@@ -188,7 +224,7 @@ def _kneser(k: int, loops: tuple[int, ...]) -> SelfLoopGraph:
     return build(order, edges, loops)
 
 
-def enumerate_all_graphs(n: int, connected_only: bool = False) -> Iterator[SelfLoopGraph]:
+def enumerate_all_graphs(n: int) -> Iterator[SelfLoopGraph]:
     """Every labeled graph on n vertices with every loop subset.
 
     Yields 2^C(n,2) * 2^n graphs in a fixed order (edge subsets in bitmask
@@ -205,9 +241,6 @@ def enumerate_all_graphs(n: int, connected_only: bool = False) -> Iterator[SelfL
                     for loop_bits in range(1 << n)]
     for edge_bits in range(1 << len(pairs)):
         edges = tuple(pairs[i] for i in range(len(pairs)) if (edge_bits >> i) & 1)
-        skeleton = SelfLoopGraph(order=n, edges=edges, loops=())
-        if connected_only and not is_connected(skeleton):
-            continue
         for loops in loop_subsets:
             yield SelfLoopGraph(order=n, edges=edges, loops=loops)
 

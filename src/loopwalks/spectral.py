@@ -31,12 +31,13 @@ one graph share them.  ``moment_report`` returns the ``moments`` and
 
 The bounds are evaluated once per graph.  An evaluated bound has one
 form, the {"name", "lhs", "rhs", "slack", "holds"} dict a report holds,
-and each inequality has one row builder; ``_bound_rows`` gives ``verify``
-every row of a graph in one pass, with names taken from caches keyed by
-the exponents or the chain depth, and the public ``verify_cauchy_schwarz``,
-``verify_ratio_chain``, ``energy_lower_bounds`` and ``mcclelland_bound``
-return the same builders' rows.  A row holds when its slack passes the
-tolerance (1e-9, scaled by the ratios on the ratio chain).  The
+and each inequality has one builder that every caller shares:
+``mcclelland_bound``, ``verify_ratio_chain`` and ``energy_lower_bounds``
+build their own rows, and ``_cs_rows`` builds the Cauchy-Schwarz rows of
+any (p, q) terms, both the grid ``verify`` reports in one pass and the
+single term of ``verify_cauchy_schwarz``.  Row names come from caches
+keyed by the exponents or the chain depth.  A row holds when its slack
+passes the tolerance (1e-9, scaled by the ratios on the ratio chain).  The
 Cauchy-Schwarz and Hoelder rows on the deviations |lambda - sigma/n|
 (McClelland, the Cauchy-Schwarz grid, the ratio chain, the moment and
 (r, s, t) energy bounds) are equalities exactly when the nonzero
@@ -304,11 +305,11 @@ def _m3_closed_with_j(graph: SelfLoopGraph, spectrum: Spectrum, j: int) -> float
 # -- bound rows -----------------------------------------------------------
 #
 # An evaluated bound is one {"name", "lhs", "rhs", "slack", "holds"} dict,
-# the row a report holds, and each inequality has one row builder.
-# ``verify`` takes all rows of a graph from ``_bound_rows`` in one pass,
-# reading the spectrum and each twisted moment about sigma/n once from
-# ``Spectrum.moments``; the public functions below return the same
-# builders' rows.
+# the row a report holds, and each inequality has one row builder, which
+# reads each twisted moment about sigma/n from ``Spectrum.moments``.
+# ``verify`` and ``moment_report`` call the public builders below as any
+# library caller does; ``verify`` takes the Cauchy-Schwarz grid from
+# ``_cs_rows`` in one pass.
 
 
 def _row(graph: SelfLoopGraph, name: str, lhs: float, rhs: float,
@@ -387,9 +388,10 @@ def _cs_grid() -> tuple[tuple[str, float, float, float, bool], ...]:
     return tuple(_cs_term(p, q) for p in grid for q in grid if p <= q)
 
 
-def _cs_rows(graph: SelfLoopGraph, moments: _Moments,
-             terms: Iterable[tuple]) -> list[dict]:
-    """M_q^2 <= M_{2q-2p} * M_{2p} for each term."""
+def _cs_rows(graph: SelfLoopGraph, terms: Iterable[tuple]) -> list[dict]:
+    """M_q^2 <= M_{2q-2p} * M_{2p} for each term, in one pass: ``verify``
+    takes its grid from here with the terms of ``_cs_grid``."""
+    moments = _spectrum(graph).moments
     rows = []
     for name, q, a, b, uses_m0 in terms:
         mq = moments[q]
@@ -405,23 +407,6 @@ def _chain_names(depth: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
     q = 1..depth-1; ``_MAX_CHAIN_DEPTH`` bounds their length."""
     return (tuple(f"twisted_positive[q={i}]" for i in range(depth + 1)),
             tuple(f"ratio_chain[q={i}]" for i in range(1, depth)))
-
-
-def _chain_rows(graph: SelfLoopGraph, moments: _Moments,
-                depth: int) -> list[dict]:
-    """Positivity of M_0..M_depth, then M_{q-1} M_{q+1} >= M_q^2 as the
-    ratios M_q/M_{q-1} <= M_{q+1}/M_q, whose tolerance scales with them."""
-    positive_names, ratio_names = _chain_names(depth)
-    values = [moments[i] for i in range(depth + 1)]
-    rows = [{"name": name, "lhs": value, "rhs": 0.0, "slack": value,
-             "holds": value > _POSITIVITY_FLOOR}
-            for name, value in zip(positive_names, values)]
-    for i, name in enumerate(ratio_names, 1):
-        lo = values[i] / values[i - 1]
-        hi = values[i + 1] / values[i]
-        rows.append(_row(graph, name, lo, hi, hi - lo,
-                         _SLACK_TOL * max(1.0, abs(lo), abs(hi)), i == 1))
-    return rows
 
 
 @functools.lru_cache(maxsize=256)
@@ -445,50 +430,6 @@ def _require_rst(triple: Iterable[float]) -> tuple[float, float, float]:
     return values
 
 
-def _energy_rows(graph: SelfLoopGraph, moments: _Moments,
-                 rst_triples: Iterable[Sequence[float]]) -> list[dict]:
-    """The energy and moment lower bounds, then one row per (r, s, t),
-    each triple already passed by ``_require_rst``."""
-    n = graph.order
-    m = graph.size
-    total_energy = moments[1.0]
-    # d * d is the correctly rounded square; d ** 2 goes through libm's pow
-    # and can differ in the last bit, so this sum stays outside the memo
-    m2 = math.fsum(d * d for d in moments.deviations)
-    m3 = moments[3]
-    m4 = moments[4]
-    rows = []
-    # the moment bound is Hoelder, M_2^3 <= E^2 M_4; the edge-density
-    # bounds are not inequalities on the deviations alone
-    for name, lhs, rhs, uses_m0 in (
-            ("energy_lb_moments", total_energy, math.sqrt(m2 ** 3 / m4), False),
-            ("energy_lb_edge_density", total_energy, 4.0 * m / n, None),
-            ("m3_lb_edge_density", m3, 64.0 * m ** 3 / n ** 5, None),
-            ("m4_lb_edge_density", m4, 256.0 * m ** 4 / n ** 7, None)):
-        rows.append(_row(graph, name, lhs, rhs, lhs - rhs, _SLACK_TOL, uses_m0))
-    for r, s, t in rst_triples:
-        mr = moments[r]
-        rhs = mr * mr / math.sqrt(moments[s] * moments[t])
-        # Hoelder with exponents (2, 4, 4): M_r^2 <= E sqrt(M_s M_t)
-        rows.append(_row(graph, _rst_name(r, s, t), total_energy, rhs,
-                         total_energy - rhs, _SLACK_TOL, s == 0 or t == 0))
-    return rows
-
-
-def _bound_rows(graph: SelfLoopGraph, chain_depth: int,
-                rst: Iterable[Sequence[float]]) -> list[dict]:
-    """Every row ``verify`` reports after McClelland's, in its order: the
-    Cauchy-Schwarz grid, the ratio chain to ``chain_depth`` and the energy
-    lower bounds with ``rst``.  For a connected graph with an edge and
-    triples that pass ``_require_rst``, which the caller has checked."""
-    _require_chain_depth(chain_depth)
-    moments = _spectrum(graph).moments
-    rows = _cs_rows(graph, moments, _cs_grid())
-    rows += _chain_rows(graph, moments, chain_depth)
-    rows += _energy_rows(graph, moments, rst)
-    return rows
-
-
 def verify_cauchy_schwarz(graph: SelfLoopGraph, p: float, q: float) -> dict:
     """Check M_q^2 <= M_{2q-2p} * M_{2p} for 0 <= p <= q."""
     if p < 0 or q < 0:
@@ -496,7 +437,7 @@ def verify_cauchy_schwarz(graph: SelfLoopGraph, p: float, q: float) -> dict:
             f"exponents must be >= 0, got p={p}, q={q}")
     if p > q:
         raise ConstraintViolation(f"need p <= q, got p={p}, q={q}")
-    return _cs_rows(graph, _spectrum(graph).moments, (_cs_term(p, q),))[0]
+    return _cs_rows(graph, (_cs_term(p, q),))[0]
 
 
 def mcclelland_bound(graph: SelfLoopGraph) -> dict:
@@ -526,11 +467,23 @@ def _require_bound_hypotheses(graph: SelfLoopGraph) -> None:
 
 
 def verify_ratio_chain(graph: SelfLoopGraph, q_max: int) -> list[dict]:
-    """Positivity of the twisted moments up to q_max and the monotone
-    ratio chain M_1/M_0 <= M_2/M_1 <= ... (relative 1e-9 tolerance)."""
+    """Positivity of the twisted moments M_0..M_{q_max}, then the monotone
+    ratio chain M_1/M_0 <= M_2/M_1 <= ..., that is M_{q-1} M_{q+1} >= M_q^2,
+    whose tolerance scales with the ratios (relative 1e-9)."""
     _require_chain_depth(q_max)
     _require_bound_hypotheses(graph)
-    return _chain_rows(graph, _spectrum(graph).moments, q_max)
+    moments = _spectrum(graph).moments
+    positive_names, ratio_names = _chain_names(q_max)
+    values = [moments[i] for i in range(q_max + 1)]
+    rows = [{"name": name, "lhs": value, "rhs": 0.0, "slack": value,
+             "holds": value > _POSITIVITY_FLOOR}
+            for name, value in zip(positive_names, values)]
+    for i, name in enumerate(ratio_names, 1):
+        lo = values[i] / values[i - 1]
+        hi = values[i + 1] / values[i]
+        rows.append(_row(graph, name, lo, hi, hi - lo,
+                         _SLACK_TOL * max(1.0, abs(lo), abs(hi)), i == 1))
+    return rows
 
 
 def energy_lower_bounds(graph: SelfLoopGraph,
@@ -539,7 +492,31 @@ def energy_lower_bounds(graph: SelfLoopGraph,
     plus one row per caller-supplied (r, s, t) with 4r = s + t + 2."""
     _require_bound_hypotheses(graph)
     triples = [_require_rst(triple) for triple in rst_triples]
-    return _energy_rows(graph, _spectrum(graph).moments, triples)
+    n = graph.order
+    m = graph.size
+    moments = _spectrum(graph).moments
+    total_energy = moments[1.0]
+    # d * d is the correctly rounded square; d ** 2 goes through libm's pow
+    # and can differ in the last bit, so this sum stays outside the memo
+    m2 = math.fsum(d * d for d in moments.deviations)
+    m3 = moments[3]
+    m4 = moments[4]
+    rows = []
+    # the moment bound is Hoelder, M_2^3 <= E^2 M_4; the edge-density
+    # bounds are not inequalities on the deviations alone
+    for name, lhs, rhs, uses_m0 in (
+            ("energy_lb_moments", total_energy, math.sqrt(m2 ** 3 / m4), False),
+            ("energy_lb_edge_density", total_energy, 4.0 * m / n, None),
+            ("m3_lb_edge_density", m3, 64.0 * m ** 3 / n ** 5, None),
+            ("m4_lb_edge_density", m4, 256.0 * m ** 4 / n ** 7, None)):
+        rows.append(_row(graph, name, lhs, rhs, lhs - rhs, _SLACK_TOL, uses_m0))
+    for r, s, t in triples:
+        mr = moments[r]
+        rhs = mr * mr / math.sqrt(moments[s] * moments[t])
+        # Hoelder with exponents (2, 4, 4): M_r^2 <= E sqrt(M_s M_t)
+        rows.append(_row(graph, _rst_name(r, s, t), total_energy, rhs,
+                         total_energy - rhs, _SLACK_TOL, s == 0 or t == 0))
+    return rows
 
 
 def moment_report(graph: SelfLoopGraph,

@@ -63,6 +63,21 @@ def test_verify_rows_equal_the_public_records(depth, loop_prob):
                                       / twisted_moment(graph, i - 1))
 
 
+def test_verify_calls_each_public_builder_once_per_graph_by_module_name(
+        monkeypatch):
+    # the benchmark traces these layers by rebinding the module names
+    calls = {}
+    for name in ("mcclelland_bound", "verify_ratio_chain", "energy_lower_bounds"):
+        def counting(*args, _name=name, _fn=getattr(spectral, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args)
+        monkeypatch.setattr(spectral, name, counting)
+    for graph in sample_connected_graphs(5, 2, 8, 0.5, 0.5, seed=3):
+        _verify_one(graph, 8, _DEFAULT_RST)
+    assert calls == {"mcclelland_bound": 5, "verify_ratio_chain": 5,
+                     "energy_lower_bounds": 5}
+
+
 def test_library_chain_depth_guard():
     k2 = build(2, [(0, 1)])
     assert len(verify_ratio_chain(k2, spectral._MAX_CHAIN_DEPTH)) == (

@@ -90,6 +90,18 @@ def test_generate_structured_bipartite(capsys):
     assert parse_graph(out).loops == (0, 2, 3)
 
 
+@pytest.mark.parametrize("flags", [["complete", "--n", "641"],
+                                   ["kneser", "--k", "1000000"]])
+def test_generate_refuses_an_order_no_subcommand_reads(monkeypatch, capsys, flags):
+    from loopwalks import families
+
+    def not_reached(*args):
+        raise AssertionError("a graph was built past the order guard")
+
+    monkeypatch.setattr(families, "build", not_reached)
+    _assert_input_error(capsys, ["generate", "--family", *flags], "order <= 640")
+
+
 def test_generate_rejects_bad_spec(capsys):
     code = main(["generate", "--family", "cycle", "--n", "2"])
     assert code == 2
@@ -440,6 +452,20 @@ def test_verify_refuses_a_file_past_the_solver_guard(tmp_path, capsys):
     order = spectral._MAX_DENSE_ORDER + 1
     path.write_text(f"n {order}\n" + "".join(f"e {v} {v + 1}\n"
                                             for v in range(order - 1)))
+    _assert_input_error(capsys, ["verify", str(path)], "eigensolver")
+
+
+def test_verify_refuses_a_disconnected_file_past_the_solver_guard_on_load(
+        monkeypatch, tmp_path, capsys):
+    # refused as it is read, before the connectivity check builds bit rows
+    from loopwalks import cli
+
+    def not_reached(*args):
+        raise AssertionError("work done past the order guard")
+
+    monkeypatch.setattr(cli, "is_connected", not_reached)
+    path = tmp_path / "edgeless.txt"
+    path.write_text(f"n {spectral._MAX_DENSE_ORDER + 1}\n")
     _assert_input_error(capsys, ["verify", str(path)], "eigensolver")
 
 

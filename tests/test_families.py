@@ -34,6 +34,48 @@ def test_kneser_requires_k_at_least_two():
         FamilySpec.kneser(1)
 
 
+def test_generated_order_guard_is_every_readers_guard():
+    from loopwalks import census, families, spectral
+    assert families._MAX_GENERATED_ORDER == census._MAX_CENSUS_ORDER
+    assert families._MAX_GENERATED_ORDER == spectral._MAX_DENSE_ORDER
+
+
+def test_generate_refuses_past_order_640_before_building(monkeypatch):
+    from loopwalks import families
+    built = []
+    monkeypatch.setattr(families, "build",
+                        lambda *args: built.append(args[0]) or args[0])
+    for spec in (FamilySpec.complete(640), FamilySpec.complete_bipartite(320, 320),
+                 FamilySpec.kneser(5)):
+        generate(spec)
+    assert built == [640, 640, 462]
+    for spec in (FamilySpec.complete(641), FamilySpec.complete_bipartite(320, 321),
+                 FamilySpec.cycle(641), FamilySpec.kneser(6),
+                 FamilySpec.kneser(10 ** 6, loops=(0, 5))):
+        with pytest.raises(SizeLimitExceeded):
+            generate(spec)
+    assert built == [640, 640, 462]
+
+
+def test_kneser_loop_range_is_checked_without_the_full_order():
+    assert FamilySpec.kneser(3, loops=(34,)).loops == (34,)
+    with pytest.raises(InvalidSpec):
+        FamilySpec.kneser(3, loops=(35,))
+    # the Kneser graph at k = 12 has order C(25, 12) = 5,200,300
+    assert FamilySpec.kneser(12, loops=(10 ** 6,)).loops == (10 ** 6,)
+    with pytest.raises(InvalidSpec):
+        FamilySpec.kneser(12, loops=(10 ** 7,))
+    assert FamilySpec.kneser(10 ** 6, loops=(10 ** 9,)).k == 10 ** 6
+
+
+def test_closed_forms_keep_working_on_specs_too_large_to_generate():
+    from loopwalks import closed_form_w3, closed_form_w4
+    n = 10 ** 6
+    assert closed_form_w4(FamilySpec.complete(n)) == (
+        n * (n - 1) * (2 * n - 3) + n * (n - 1) * (n - 2) * (n - 3))
+    assert closed_form_w3(FamilySpec.kneser(n, loops=(0, 1))) == 2 * (3 * n + 4)
+
+
 @pytest.mark.parametrize("n", [4, 5, 7])
 def test_wheel_shape(n):
     g = generate(FamilySpec.wheel(n))
@@ -119,9 +161,8 @@ def test_enumeration_count_n5():
 
 
 def test_enumeration_connected_filter():
-    graphs = list(enumerate_all_graphs(3, connected_only=True))
-    assert len(graphs) == 4 * 8
-    assert all(is_connected(g) for g in graphs)
+    # 4 connected skeletons on 3 vertices, each with its 8 loop subsets
+    assert sum(1 for _ in filter(is_connected, enumerate_all_graphs(3))) == 4 * 8
 
 
 def test_enumeration_guard():
