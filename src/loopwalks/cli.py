@@ -500,8 +500,6 @@ def _verify_from_args(args: argparse.Namespace) -> tuple[dict, int]:
         raise SizeLimitExceeded(
             f"--chain-depth must be <= {spectral._MAX_CHAIN_DEPTH}, the ratio "
             f"chain's guard, got {args.chain_depth}")
-    labeled: list[tuple[str, SelfLoopGraph]] = []
-    sampler_info = None
     if args.sample is not None:
         _require(args.sample >= 1, f"--sample must be >= 1, got {args.sample}")
         bounds = _parse_int_list(args.n_range)
@@ -515,13 +513,9 @@ def _verify_from_args(args: argparse.Namespace) -> tuple[dict, int]:
                  f"--edge-prob must lie in (0, 1], got {args.edge_prob}")
         _require(0.0 <= args.loop_prob <= 1.0,
                  f"--loop-prob must lie in [0, 1], got {args.loop_prob}")
-        graphs = sample_connected_graphs(args.sample, bounds[0], bounds[1],
-                                         args.edge_prob, args.loop_prob,
-                                         args.seed)
-        labeled.extend((f"sample[{i}]", g) for i, g in enumerate(graphs))
-        sampler_info = {"count": args.sample, "n_range": list(bounds),
-                        "edge_prob": args.edge_prob, "loop_prob": args.loop_prob,
-                        "seed": args.seed}
+    # files are loaded and guarded before the sampler runs, so that a bad
+    # file is refused at once; the sampled graphs still come first
+    labeled: list[tuple[str, SelfLoopGraph]] = []
     for path in args.files:
         graph = load_graph(path)
         # refused before the connectivity check builds its O(n) bit rows
@@ -530,6 +524,15 @@ def _verify_from_args(args: argparse.Namespace) -> tuple[dict, int]:
                 f"{path} has order {graph.order}, past the eigensolver's "
                 f"order guard of {spectral._MAX_DENSE_ORDER}")
         labeled.append((path, graph))
+    sampler_info = None
+    if args.sample is not None:
+        graphs = sample_connected_graphs(args.sample, bounds[0], bounds[1],
+                                         args.edge_prob, args.loop_prob,
+                                         args.seed)
+        labeled[:0] = ((f"sample[{i}]", g) for i, g in enumerate(graphs))
+        sampler_info = {"count": args.sample, "n_range": list(bounds),
+                        "edge_prob": args.edge_prob, "loop_prob": args.loop_prob,
+                        "seed": args.seed}
     if not labeled:
         raise LoopwalksError("verify needs graph files or --sample")
     return cmd_verify(labeled, args.chain_depth, rst, sampler_info=sampler_info)

@@ -5,14 +5,13 @@ enumeration of walk sequences, and exact integer traces of adjacency-matrix
 powers.  Both read only a graph's order, edge list and loop list, never
 the adjacency the graph caches for the census.  The enumeration never
 memoises a walk count, so that it cannot inherit a bug from the formula
-path: from each start vertex it chains iterators over the move lists, so
-every walk prefix is one element of a C-level iterator, and counts the
-last vertices that step back to the start.  There is no popcount or
-aggregation of prefixes; the cost is the number of walks, exponential in
-k.  Only the move lists and the closing rows (which vertices step back to
-each start) are kept, for the last graph enumerated, so the calls for
-k = 1..4 on one graph build them once; each walk prefix is still one
-iterator element of every call.
+path: from each start vertex it keeps the frontier as one ``bytes``
+object, one byte (the last vertex) per walk prefix, extends it by a C-level
+join over byte move lists, and counts the last vertices that step back to
+the start.  There is no popcount or aggregation of prefixes; the time is
+the number of walks, exponential in k, and the memory about one slice of
+the last round.  Only the move lists of the last graph enumerated are
+kept, so the calls for k = 1..4 on one graph build them once.
 
 The traces work on bit rows of the adjacency matrix, built here from the
 edge and loop lists (never from the census's neighbor masks), with the loop
@@ -33,13 +32,16 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import chain
 
 from .errors import ConstraintViolation, SizeLimitExceeded
 from .graph_core import SelfLoopGraph
 
 _MAX_ENUM_K = 8
 _MAX_ENUM_ORDER = 12
+# Prefixes the enumeration's last round expands per join, as a join holds
+# an 88 B buffer view per prefix: K12 fully looped at k = 8 took 3.6 s and
+# 360 MB joined whole, 1.7 s and 41 MB in slices (2-vCPU host).
+_SLICE = 1 << 15
 # The longest trace sweep `walks --kmax` runs.  ``traces_upto`` takes kmax/2
 # sparse steps on integers that grow with k; with two loops on a 2-vCPU host
 # it took 0.009/0.26/2.3 s on K10/K40/K100 at kmax 64 and 6.3 s on K100 at
@@ -66,7 +68,10 @@ def enumerate_closed_walks(graph: SelfLoopGraph, k: int) -> WalkEnumeration:
     """Count all vertex sequences v0,...,vk with vk = v0 where each step
     follows a proper edge or, on a looped vertex, stays in place.
 
-    Guarded to k <= 8 and order <= 12; the cost is exponential in k.
+    Each walk prefix is one byte of a frontier, so vertex ids must fit in
+    a byte.  Guarded to k <= 8 and order <= 12; the time is proportional to
+    the number of walks, exponential in k, and the memory to the frontier
+    before the last round plus one slice of it.
     """
     if k < 0:
         raise ConstraintViolation(f"walk length must be nonnegative, got {k}")
@@ -78,43 +83,51 @@ def enumerate_closed_walks(graph: SelfLoopGraph, k: int) -> WalkEnumeration:
     n = graph.order
     if k == 0:
         return WalkEnumeration(k=0, per_vertex=(1,) * n, total=n)
-    moves, closers = _moves(graph)
+    moves = _moves(graph)
     if k == 1:
-        per_vertex = tuple(closes[v0] for v0, closes in enumerate(closers))
+        per_vertex = tuple(closers.count(v0) for v0, closers in enumerate(moves))
     else:
         # After j rounds the frontier holds the vertex v_(j+1) of every walk
-        # prefix v0..v_(j+1), one element per prefix, repeats included; the
-        # walk closes from v_(k-1) when that vertex steps back to v0.
-        step = moves.__getitem__
+        # prefix v0..v_(j+1), one byte per prefix, repeats included; the walk
+        # closes from v_(k-1) when that vertex steps back to v0, that is, is
+        # a byte of moves[v0], so deleting those bytes leaves the rest.
+        # a list's __getitem__ is a builtin method, cheaper to call than a
+        # tuple's slot wrapper
+        step = list(moves).__getitem__
+        join = b"".join
         counts = []
-        for v0, closes in enumerate(closers):
-            frontier = moves[v0]
-            for _ in range(k - 2):
-                frontier = chain.from_iterable(map(step, frontier))
-            counts.append(sum(map(closes.__getitem__, frontier)))
+        for closers in moves:
+            frontier = closers
+            for _ in range(k - 3):
+                frontier = join(map(step, frontier))
+            if k == 2:
+                counts.append(len(frontier) - len(frontier.translate(None, closers)))
+                continue
+            # the last round, the largest, is expanded a slice at a time
+            parts = ((frontier,) if len(frontier) <= _SLICE else
+                     (frontier[i:i + _SLICE] for i in range(0, len(frontier), _SLICE)))
+            count = 0
+            for part in parts:
+                last = join(map(step, part))
+                count += len(last) - len(last.translate(None, closers))
+            counts.append(count)
         per_vertex = tuple(counts)
     return WalkEnumeration(k=k, per_vertex=per_vertex, total=sum(per_vertex))
 
 
 @functools.lru_cache(maxsize=1)
-def _moves(graph: SelfLoopGraph) -> tuple[tuple[tuple[int, ...], ...],
-                                          tuple[tuple[int, ...], ...]]:
-    """The move lists and closing rows of the last graph enumerated, built
-    in one pass over its edge and loop lists.  ``moves[v]`` lists v's
-    neighbors in increasing order, then v itself when it is looped;
-    ``closers[v0][u]`` is 1 when u steps to v0 and 0 otherwise, an int so
-    that ``sum`` stays on its exact-int path."""
-    n = graph.order
-    moves: list[list[int]] = [[] for _ in range(n)]
-    closers = [[0] * n for _ in range(n)]
+def _moves(graph: SelfLoopGraph) -> tuple[bytes, ...]:
+    """The move lists of the last graph enumerated, built in one pass over
+    its edge and loop lists: ``moves[v]`` holds v's neighbors in increasing
+    order, then v itself when it is looped, one byte each.  Steps are
+    symmetric, so ``moves[v]`` also lists the vertices that step to v."""
+    moves = [bytearray() for _ in range(graph.order)]
     for u, v in graph.edges:
         moves[u].append(v)
         moves[v].append(u)
-        closers[u][v] = closers[v][u] = 1
     for v in graph.loops:
         moves[v].append(v)
-        closers[v][v] = 1
-    return tuple(map(tuple, moves)), tuple(map(tuple, closers))
+    return tuple(map(bytes, moves))
 
 
 def trace_power(graph: SelfLoopGraph, k: int) -> int:

@@ -469,6 +469,31 @@ def test_verify_refuses_a_disconnected_file_past_the_solver_guard_on_load(
     _assert_input_error(capsys, ["verify", str(path)], "eigensolver")
 
 
+@pytest.mark.parametrize("text, flag", [
+    ("n 2\ne 0 5\n", "out of range"),
+    (f"n {spectral._MAX_DENSE_ORDER + 1}\n", "eigensolver")],
+    ids=["malformed", "oversized"])
+def test_verify_refuses_a_bad_file_before_sampling(monkeypatch, tmp_path, capsys,
+                                                   text, flag):
+    from loopwalks import cli
+
+    def not_reached(*args):
+        raise AssertionError("sampled before the files were loaded")
+
+    monkeypatch.setattr(cli, "sample_connected_graphs", not_reached)
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    _assert_input_error(capsys, ["verify", "--sample", "20", "--n-range", "600,640",
+                                 str(path)], flag)
+
+
+def test_verify_reports_sampled_graphs_before_files(k4_file, capsys):
+    _, report = run_json(capsys, "verify", k4_file, "--sample", "2",
+                         "--n-range", "3,4", "--seed", "5")
+    assert [entry["label"] for entry in report["results"]] == [
+        "sample[0]", "sample[1]", k4_file]
+
+
 def test_verify_sample_keeps_the_graphs_that_do_not_overflow(capsys):
     # one sampled graph's moment overflows at q = 449; the other graphs are
     # still reported, and the exit status follows the reported rows

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -109,10 +110,28 @@ def test_enumeration_fully_looped_complete_closed_form():
     for n in range(1, 13):
         g = generate(FamilySpec.complete(n, loops=tuple(range(n))))
         assert enumerate_closed_walks(g, 0).per_vertex == (1,) * n
-        for k in range(1, 7):
+        for k in range(1, 8):
             walks = enumerate_closed_walks(g, k)
             assert walks.total == n ** k
             assert walks.per_vertex == (n ** (k - 1),) * n
+
+
+def test_enumeration_memory_stays_bounded():
+    # the last round is expanded a slice at a time: about 4 MB at its peak
+    # here, against 28 MB for one join of the whole 12^5-byte frontier
+    g = generate(FamilySpec.complete(12, loops=tuple(range(12))))
+    tracemalloc.start()
+    try:
+        walks = enumerate_closed_walks(g, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert walks.total == 12 ** 7
+    assert peak <= 8_000_000
+
+
+def test_enumeration_order_guard_fits_vertex_ids_in_a_byte():
+    assert oracle._MAX_ENUM_ORDER < 256
 
 
 def test_enumeration_counts_are_ints():
