@@ -20,7 +20,10 @@ copy.  Within one report the writer lays out each dict shape (depth and
 keys in insertion order) once, writes reals, strings, bools and ints in
 the dict loop without a call, and prints a real from its ``.12g`` text
 unless that text has an exponent or is nan/inf, which take the ``repr``
-of the rounded real instead.
+of the rounded real instead.  ``verify`` renders each graph's entry as
+soon as its rows are built and writes the texts only once every graph is
+evaluated, so its memory is the output text plus one graph's rows, and an
+input error met on a later graph still prints only its ``error:`` line.
 Exit status: 0 when every requested check holds, 1 when a verified
 inequality or cross-check fails (closed forms within 1e-7, relative above
 magnitude 1), 2 on input errors.  ``verify`` skips a graph whose moment or
@@ -48,6 +51,9 @@ from .oracle import traces_upto
 from .walks import walk_counts
 
 _DEFAULT_RST = ((1.0, 0.0, 2.0), (1.5, 2.0, 2.0), (2.0, 3.0, 3.0))
+# Stands for the results list in the rendered frame of a verify report; no
+# other value there is a string.
+_RESULTS_SLOT = "\0"
 
 
 # -- report plumbing ------------------------------------------------------
@@ -187,9 +193,9 @@ def _sequence_text(obj, depth: int, reals: dict[float, str],
     return separator.join(items)
 
 
-def _render_table(report: dict) -> str:
+def _render_table(report: dict, prefix: str = "") -> str:
     lines: list[str] = []
-    _flatten("", report, lines)
+    _flatten(prefix, report, lines)
     return "\n".join(lines) + "\n"
 
 
@@ -300,12 +306,26 @@ def _verify_one(graph: SelfLoopGraph, chain_depth: int,
 def cmd_verify(labeled_graphs: Sequence[tuple[str, SelfLoopGraph]],
                chain_depth: int,
                rst: Sequence[Sequence[float]],
-               sampler_info: dict | None = None) -> tuple[dict, int]:
-    """Evaluate every inequality on every graph; exit 1 on any violation."""
-    results = []
+               fmt: str,
+               sampler_info: dict | None = None) -> tuple[list[str], int]:
+    """Evaluate every inequality on every graph; exit 1 on any violation.
+
+    The report comes back in ``fmt`` as texts to write in order.  Each
+    graph's entry is rendered once its rows are built, so one graph's rows
+    are alive at a time and no whole-report string is built.  The frame is
+    rendered once, and the entries go where it holds ``_RESULTS_SLOT``."""
+    if fmt == "json":
+        slot = _encode_str(_RESULTS_SLOT)
+        opening, separator, closing = _level(1, "[]")
+    else:
+        slot = f"{'results':<40} {_RESULTS_SLOT}\n"
+        opening = separator = closing = ""
+    reals: dict[float, str] = {}
+    shapes: dict[tuple, tuple] = {}
+    texts = []
     violations = 0
     skipped = 0
-    for label, graph in labeled_graphs:
+    for i, (label, graph) in enumerate(labeled_graphs):
         bounds, note = _verify_one(graph, chain_depth, rst)
         entry: dict = {"label": label, "graph": _graph_summary(graph)}
         if note is None:
@@ -314,21 +334,26 @@ def cmd_verify(labeled_graphs: Sequence[tuple[str, SelfLoopGraph]],
         else:
             entry["note"] = note
             skipped += 1
-        results.append(entry)
-    report = {
+        if fmt == "json":
+            text = _json_text(entry, 2, reals, shapes)
+        else:
+            text = _render_table(entry, f"results[{i}]")
+        texts.append((separator if texts else opening) + text)
+    frame = {
         "chain_depth": chain_depth,
         "rst": [list(triple) for triple in rst],
         "cs_exponents": list(spectral._DEFAULT_CS_EXPONENTS),
-        "results": results,
+        "results": _RESULTS_SLOT,
         "summary": {
-            "graphs": len(results),
+            "graphs": len(texts),
             "skipped": skipped,
             "violations": violations,
         },
     }
     if sampler_info is not None:
-        report["sampler"] = sampler_info
-    return report, 1 if violations else 0
+        frame["sampler"] = sampler_info
+    head, tail = render_report(frame, fmt).split(slot)
+    return [head, *texts, closing + tail], 1 if violations else 0
 
 
 def cmd_generate(args: argparse.Namespace) -> str:
@@ -476,7 +501,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             sys.stdout.write(text)
         return 0
     if args.command == "verify":
-        report, code = _verify_from_args(args)
+        texts, code = _verify_from_args(args)
     else:
         graph = load_graph(args.file)
         if args.command == "walks":
@@ -485,11 +510,12 @@ def _dispatch(args: argparse.Namespace) -> int:
             report, code = cmd_moments(graph, _parse_float_list(args.q))
         else:
             report, code = cmd_census(graph)
-    sys.stdout.write(render_report(report, args.format))
+        texts = [render_report(report, args.format)]
+    sys.stdout.writelines(texts)
     return code
 
 
-def _verify_from_args(args: argparse.Namespace) -> tuple[dict, int]:
+def _verify_from_args(args: argparse.Namespace) -> tuple[list[str], int]:
     rst = (_DEFAULT_RST if args.rst is None
            else tuple(_parse_float_list(item) for item in args.rst))
     for triple in rst:
@@ -535,7 +561,8 @@ def _verify_from_args(args: argparse.Namespace) -> tuple[dict, int]:
                         "seed": args.seed}
     if not labeled:
         raise LoopwalksError("verify needs graph files or --sample")
-    return cmd_verify(labeled, args.chain_depth, rst, sampler_info=sampler_info)
+    return cmd_verify(labeled, args.chain_depth, rst, args.format,
+                      sampler_info=sampler_info)
 
 
 def entry() -> None:

@@ -50,6 +50,18 @@ DIGESTS = {
 
 VERIFY_SAMPLE_SEED_42 = "de9ce0cc29766cb6b0d7034bb68858b8600d01e66ed028b23af8820b0e96a2ef"
 
+# Sampled verify reports in both formats, with their options off the
+# defaults; the last one skips 42 of its graphs with a FloatOverflow note.
+VERIFY_DIGESTS = {
+    "table": (["--sample", "1000", "--seed", "42", "--format", "table"],
+              "6ae7db564909df16e90991c3038587ac0ed81a52d35da1a38ca99eead4ad3a3f"),
+    "table-depth-rst": (["--sample", "200", "--seed", "5", "--chain-depth", "20",
+                         "--rst", "1,0,2", "--rst", "2,3,3", "--format", "table"],
+                        "05d51f19412fa33dd97e3cb8e3a8bd8ec09d3cf9e9ebf37b0589effad7603a27"),
+    "overflow-notes": (["--sample", "100", "--seed", "1", "--chain-depth", "512"],
+                       "46cb36443f4f7f526ed740724639cb8cdd741bce20756a73d5de78303c64e953"),
+}
+
 
 def _stdout_digest(capsys, argv):
     code = main(argv)
@@ -76,3 +88,9 @@ def test_report_digest(capsys, graph_files, graph, command, fmt):
 def test_verify_sample_digest(capsys):
     argv = ["verify", "--sample", "1000", "--seed", "42"]
     assert _stdout_digest(capsys, argv) == (0, VERIFY_SAMPLE_SEED_42)
+
+
+@pytest.mark.parametrize("case", sorted(VERIFY_DIGESTS))
+def test_verify_option_digests(capsys, case):
+    flags, digest = VERIFY_DIGESTS[case]
+    assert _stdout_digest(capsys, ["verify", *flags]) == (0, digest)

@@ -38,6 +38,13 @@ def test_enumeration_petersen_listed_walks(petersen_one_loop):
     assert neighbor_walks == [1, 1, 1]
 
 
+def test_enumeration_result_is_immutable(k4_three_loops):
+    walks = enumerate_closed_walks(k4_three_loops, 3)
+    assert (walks.k, walks.total) == (3, sum(walks.per_vertex))
+    with pytest.raises(AttributeError):
+        walks.total = 0
+
+
 def test_enumeration_single_looped_vertex():
     g = build(1, [], [0])
     assert enumerate_closed_walks(g, 4).total == 1

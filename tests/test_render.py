@@ -9,9 +9,10 @@ from collections import OrderedDict
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from loopwalks.cli import (_DEFAULT_RST, _real_text, _round_real, cmd_verify,
-                           render_report)
+from loopwalks.cli import (_DEFAULT_RST, _graph_summary, _real_text, _round_real,
+                           _verify_one, cmd_verify, render_report)
 from loopwalks.families import sample_connected_graphs
+from loopwalks.spectral import _DEFAULT_CS_EXPONENTS
 
 
 def _prepare(obj):
@@ -151,13 +152,33 @@ def test_table_writer_rounds_negative_zero():
     assert "-0" not in text
 
 
+def _verify_report(labeled, chain_depth, rst):
+    """The verify report as one dict, built from ``_verify_one``'s rows."""
+    results = []
+    for label, graph in labeled:
+        rows, note = _verify_one(graph, chain_depth, rst)
+        entry = {"label": label, "graph": _graph_summary(graph)}
+        entry.update({"note": note} if note else {"bounds": rows})
+        results.append(entry)
+    return {
+        "chain_depth": chain_depth,
+        "rst": [list(triple) for triple in rst],
+        "cs_exponents": list(_DEFAULT_CS_EXPONENTS),
+        "results": results,
+        "summary": {"graphs": len(results),
+                    "skipped": sum("note" in entry for entry in results),
+                    "violations": sum(not row["holds"] for entry in results
+                                      for row in entry.get("bounds", ()))},
+    }
+
+
 @pytest.mark.parametrize("fmt", ["json", "table"])
 def test_writers_match_reference_on_verify_report(fmt):
     graphs = sample_connected_graphs(200, 2, 10, 0.5, 0.5, seed=42)
-    report, _ = cmd_verify([(f"sample[{i}]", g) for i, g in enumerate(graphs)],
-                           8, _DEFAULT_RST)
+    labeled = [(f"sample[{i}]", g) for i, g in enumerate(graphs)]
+    texts, _ = cmd_verify(labeled, 8, _DEFAULT_RST, fmt)
     reference = _reference_json if fmt == "json" else _reference_table
-    assert render_report(report, fmt) == reference(report)
+    assert "".join(texts) == reference(_verify_report(labeled, 8, _DEFAULT_RST))
 
 
 @pytest.mark.parametrize("fmt", ["json", "table"])
