@@ -533,7 +533,7 @@ def test_verify_memory_is_its_output_plus_one_graph(capsys, flags):
     # each graph's entry is rendered once its rows are built and no
     # whole-report string is built, so the traced peak is the entry texts,
     # the captured output and one graph's rows: 2.15x (json) and 2.21x
-    # (table) here, against 4.5x and 5.05x when the report was one dict
+    # (table)
     spectral._spectrum.cache_clear()
     code, ratio = _traced_peak_per_output_byte(capsys, ["verify", *flags])
     assert code == 0
