@@ -16,19 +16,19 @@ rounded to 12 significant digits) or as an aligned text table via
 ``--format table``.  JSON is written in one rounding pass: each real is
 rounded as it is written, byte for byte what ``json.dumps(sort_keys=True,
 indent=2)`` gives on the rounded report, without first building a rounded
-copy.  Within one report the writer lays out each dict shape (depth and
-keys in insertion order) once, writes reals, strings, bools and ints in
-the dict loop without a call, and prints a real from its ``.12g`` text
-unless that text has an exponent or is nan/inf, which take the ``repr``
-of the rounded real instead.  ``verify`` renders each graph's entry as
-soon as its rows are built and writes the texts only once every graph is
-evaluated, so its memory is the output text plus one graph's rows, and an
-input error met on a later graph still prints only its ``error:`` line.
-Exit status: 0 when every requested check holds, 1 when a verified
-inequality or cross-check fails (closed forms within 1e-7, relative above
-magnitude 1), 2 on input errors.  ``verify`` skips a graph whose moment or
-bound overflows a float with a per-graph note, as it skips a disconnected
-graph, and reports the rest.
+copy (see ``_dict_text`` and ``_real_text``).  ``verify`` renders each
+graph's entry as soon as its rows are built and writes the texts only
+once every graph is evaluated, so its memory is the output text plus one
+graph's rows, and an input error met on a later graph still prints only
+its ``error:`` line.  Exit status: 0 when every requested check holds, 1
+when a verified inequality or cross-check fails (closed forms within
+1e-7, relative above magnitude 1), 2 on input errors, each one ``error:``
+line.  Each flag is checked as it is parsed, by its argparse ``type``,
+with the library's own guard where the library owns the rule, so a bad
+value is refused before any file is read or any graph sampled or solved;
+argparse's own errors take the same path.  ``verify`` skips a graph whose
+moment or bound overflows a float with a per-graph note, as it skips a
+disconnected graph or one without an edge, and reports the rest.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 from typing import NoReturn, Sequence
 
-from . import oracle, spectral
-from .errors import FloatOverflow, LoopwalksError, SizeLimitExceeded
+from . import families, oracle, spectral
+from .errors import FloatOverflow, HypothesisNotMet, LoopwalksError, SizeLimitExceeded
 from .families import FAMILIES, FamilySpec, generate, sample_connected_graphs
 from .graph_core import SelfLoopGraph, is_connected
 from .graphio import load_graph, serialize_graph
@@ -259,11 +259,6 @@ def _graph_report(graph: SelfLoopGraph, **sections) -> dict:
 
 def cmd_walks(graph: SelfLoopGraph, kmax: int) -> tuple[dict, int]:
     """Walk counts by formula (lengths 1..4) and by matrix-power trace."""
-    if kmax < 1:
-        raise LoopwalksError(f"--kmax must be >= 1, got {kmax}")
-    if kmax > oracle._MAX_TRACE_K:
-        raise SizeLimitExceeded(
-            f"--kmax must be <= {oracle._MAX_TRACE_K}, the trace sweep's guard, got {kmax}")
     oracle._require_trace_work(graph, kmax)
     wc = walk_counts(graph)
     formula = {f"w{k}": getattr(wc, f"w{k}") for k in range(1, min(kmax, 4) + 1)}
@@ -289,17 +284,14 @@ def cmd_census(graph: SelfLoopGraph) -> tuple[dict, int]:
 
 def _verify_one(graph: SelfLoopGraph, chain_depth: int,
                 rst: Sequence[Sequence[float]]) -> tuple[list[dict], str | None]:
-    if not is_connected(graph):
-        return [], "DisconnectedInput: connectivity hypotheses unmet; skipped"
-    if graph.size < 1:
-        return [], "HypothesisNotMet: the bounds assume at least one edge; skipped"
     try:
+        spectral._require_bound_hypotheses(graph)
         rows = [spectral.mcclelland_bound(graph),
                 *spectral._cs_rows(graph, spectral._cs_grid()),
                 *spectral.verify_ratio_chain(graph, chain_depth),
                 *spectral.energy_lower_bounds(graph, rst)]
-    except FloatOverflow as exc:
-        return [], f"FloatOverflow: {exc}; skipped"
+    except (HypothesisNotMet, FloatOverflow) as exc:
+        return [], f"{type(exc).__name__}: {exc}; skipped"
     return rows, None
 
 
@@ -374,17 +366,13 @@ _PLACEMENT_FLAGS = {"complete_bipartite": ("sigma_a", "sigma_b"),
 
 
 def _family_spec_from_args(args: argparse.Namespace) -> FamilySpec:
-    loops = _parse_int_list(args.loops) if args.loops is not None else None
     family = args.family
     sizes = _SIZE_FLAGS.get(family, ("n",))
     kwargs = {name: getattr(args, name) for name in sizes}
     _require(None not in kwargs.values(), f"--family {family} needs "
              + " and ".join(f"--{name}" for name in sizes))
-    if loops is None:
-        kwargs.update((name, getattr(args, name))
-                      for name in _PLACEMENT_FLAGS.get(family, ()))
-    else:
-        kwargs["loops"] = loops
+    placement = _PLACEMENT_FLAGS.get(family, ()) if args.loops is None else ("loops",)
+    kwargs.update((name, getattr(args, name)) for name in placement)
     return getattr(FamilySpec, family)(**kwargs)
 
 
@@ -397,32 +385,55 @@ def _require(condition: bool, message: str) -> None:
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
-        return ()
     try:
-        return tuple(int(token) for token in text.split(","))
-    except ValueError as exc:
-        raise LoopwalksError(f"expected comma-separated integers, got {text!r}") from exc
+        return tuple(int(token) for token in text.split(",")) if text.strip() else ()
+    except ValueError:
+        raise LoopwalksError(f"expected comma-separated integers, got {text!r}") from None
 
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
     try:
         values = tuple(float(token) for token in text.strip().split(","))
-    except ValueError as exc:
-        raise LoopwalksError(f"expected comma-separated numbers, got {text!r}") from exc
+    except ValueError:
+        raise LoopwalksError(f"expected comma-separated numbers, got {text!r}") from None
     if not all(map(math.isfinite, values)):
         raise LoopwalksError(f"expected finite numbers, got {text!r}")
     return values
 
 
+def _checked(parse, rule=lambda value: None):
+    """An argparse ``type`` that parses a flag's text and checks the value;
+    argparse prefixes a refusal's message with ``argument --flag:``."""
+    def convert(text: str):
+        try:
+            value = parse(text)
+            rule(value)
+        except LoopwalksError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+    convert.__name__ = parse.__name__  # argparse: "invalid int value: 'x'"
+    return convert
+
+
+def _at_least_one(value: int) -> None:
+    _require(value >= 1, f"must be >= 1, got {value}")
+
+
+def _trace_k(kmax: int) -> None:
+    _require(1 <= kmax <= oracle._MAX_TRACE_K,
+             f"must lie in 1..{oracle._MAX_TRACE_K}, the trace sweep's guard, got {kmax}")
+
+
+def _order_range(bounds: tuple[int, ...]) -> None:
+    _require(len(bounds) == 2, f"expects two numbers LO,HI, got {len(bounds)}")
+    families._require_order_range(*bounds)
+
+
 class _Parser(argparse.ArgumentParser):
-    """An argument parser whose usage errors are one ``error:`` line and
-    exit status 2, as for every other input error; its subparsers share
-    the class."""
+    """Raises its subparsers' usage errors and its own as LoopwalksError."""
 
     def error(self, message: str) -> NoReturn:
-        self.exit(2, f"error: {message}\n")
+        raise LoopwalksError(message)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -437,12 +448,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_walks = sub.add_parser("walks", help="closed-walk counts by formula and trace")
     p_walks.add_argument("file")
-    p_walks.add_argument("--kmax", type=int, default=4)
+    p_walks.add_argument("--kmax", type=_checked(int, _trace_k), default=4)
     add_format(p_walks)
 
     p_moments = sub.add_parser("moments", help="spectrum, moments, energy")
     p_moments.add_argument("file")
-    p_moments.add_argument("--q", default="0,1,2,3,4",
+    p_moments.add_argument("--q", type=_checked(_parse_float_list), default="0,1,2,3,4",
                            help="comma-separated twisted-moment exponents")
     add_format(p_moments)
 
@@ -452,14 +463,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="evaluate every inequality")
     p_verify.add_argument("files", nargs="*")
-    p_verify.add_argument("--sample", type=int, default=None,
+    p_verify.add_argument("--sample", type=_checked(int, _at_least_one), default=None,
                           help="verify this many sampled connected graphs")
-    p_verify.add_argument("--n-range", default="4,10")
-    p_verify.add_argument("--edge-prob", type=float, default=0.5)
-    p_verify.add_argument("--loop-prob", type=float, default=0.5)
+    p_verify.add_argument("--n-range", type=_checked(_parse_int_list, _order_range),
+                          default="4,10")
+    p_verify.add_argument("--edge-prob", default=0.5,
+                          type=_checked(float, families._require_edge_prob))
+    p_verify.add_argument("--loop-prob", default=0.5,
+                          type=_checked(float, families._require_loop_prob))
     p_verify.add_argument("--seed", type=int, default=42)
-    p_verify.add_argument("--chain-depth", type=int, default=8)
+    p_verify.add_argument("--chain-depth", default=8,
+                          type=_checked(int, spectral._require_chain_depth))
     p_verify.add_argument("--rst", action="append", default=None,
+                          type=_checked(_parse_float_list, spectral._require_rst),
                           help="r,s,t with 4r = s+t+2; repeatable")
     add_format(p_verify)
 
@@ -469,7 +485,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_generate.add_argument("--a", type=int, default=None)
     p_generate.add_argument("--b", type=int, default=None)
     p_generate.add_argument("--k", type=int, default=None)
-    p_generate.add_argument("--loops", default=None,
+    p_generate.add_argument("--loops", type=_checked(_parse_int_list), default=None,
                             help="comma-separated looped vertices")
     p_generate.add_argument("--sigma-a", type=int, default=0)
     p_generate.add_argument("--sigma-b", type=int, default=0)
@@ -483,10 +499,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        return _dispatch(args)
+        return _dispatch(_build_parser().parse_args(argv))
     except (LoopwalksError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -507,7 +521,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         if args.command == "walks":
             report, code = cmd_walks(graph, args.kmax)
         elif args.command == "moments":
-            report, code = cmd_moments(graph, _parse_float_list(args.q))
+            report, code = cmd_moments(graph, args.q)
         else:
             report, code = cmd_census(graph)
         texts = [render_report(report, args.format)]
@@ -516,31 +530,8 @@ def _dispatch(args: argparse.Namespace) -> int:
 
 
 def _verify_from_args(args: argparse.Namespace) -> tuple[list[str], int]:
-    rst = (_DEFAULT_RST if args.rst is None
-           else tuple(_parse_float_list(item) for item in args.rst))
-    for triple in rst:
-        spectral._require_rst(triple)
-    _require(args.chain_depth >= 1,
-             f"--chain-depth must be >= 1, got {args.chain_depth}")
-    if args.chain_depth > spectral._MAX_CHAIN_DEPTH:
-        raise SizeLimitExceeded(
-            f"--chain-depth must be <= {spectral._MAX_CHAIN_DEPTH}, the ratio "
-            f"chain's guard, got {args.chain_depth}")
-    if args.sample is not None:
-        _require(args.sample >= 1, f"--sample must be >= 1, got {args.sample}")
-        bounds = _parse_int_list(args.n_range)
-        _require(len(bounds) == 2 and 2 <= bounds[0] <= bounds[1],
-                 f"--n-range expects LO,HI with 2 <= LO <= HI, got {args.n_range!r}")
-        # the sampler draws O(n^2) pairs per graph, so refuse before it runs
-        _require(bounds[1] <= spectral._MAX_DENSE_ORDER,
-                 f"--n-range HI must be <= {spectral._MAX_DENSE_ORDER}, the "
-                 f"eigensolver's order guard, got {bounds[1]}")
-        _require(0.0 < args.edge_prob <= 1.0,
-                 f"--edge-prob must lie in (0, 1], got {args.edge_prob}")
-        _require(0.0 <= args.loop_prob <= 1.0,
-                 f"--loop-prob must lie in [0, 1], got {args.loop_prob}")
-    # files are loaded and guarded before the sampler runs, so that a bad
-    # file is refused at once; the sampled graphs still come first
+    # flags are checked as parsed; files are loaded and guarded before the
+    # sampler runs, so a bad file is refused at once; samples still come first
     labeled: list[tuple[str, SelfLoopGraph]] = []
     for path in args.files:
         graph = load_graph(path)
@@ -552,17 +543,16 @@ def _verify_from_args(args: argparse.Namespace) -> tuple[list[str], int]:
         labeled.append((path, graph))
     sampler_info = None
     if args.sample is not None:
-        graphs = sample_connected_graphs(args.sample, bounds[0], bounds[1],
-                                         args.edge_prob, args.loop_prob,
-                                         args.seed)
+        graphs = sample_connected_graphs(args.sample, *args.n_range, args.edge_prob,
+                                         args.loop_prob, args.seed)
         labeled[:0] = ((f"sample[{i}]", g) for i, g in enumerate(graphs))
-        sampler_info = {"count": args.sample, "n_range": list(bounds),
+        sampler_info = {"count": args.sample, "n_range": list(args.n_range),
                         "edge_prob": args.edge_prob, "loop_prob": args.loop_prob,
                         "seed": args.seed}
     if not labeled:
         raise LoopwalksError("verify needs graph files or --sample")
-    return cmd_verify(labeled, args.chain_depth, rst, args.format,
-                      sampler_info=sampler_info)
+    return cmd_verify(labeled, args.chain_depth, args.rst or _DEFAULT_RST,
+                      args.format, sampler_info=sampler_info)
 
 
 def entry() -> None:

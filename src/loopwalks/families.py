@@ -267,12 +267,35 @@ class SplitMix64:
         return self.next_u64() % bound
 
 
+def _require_order_range(n_lo: int, n_hi: int) -> None:
+    if n_hi > _MAX_GENERATED_ORDER:
+        raise SizeLimitExceeded(
+            f"sampled orders are guarded to <= {_MAX_GENERATED_ORDER}, the "
+            f"largest order the census and the eigensolver accept; got {n_hi}")
+    if not 2 <= n_lo <= n_hi:
+        raise InvalidSpec(f"sampled orders need 2 <= LO <= HI, got {n_lo},{n_hi}")
+
+
+def _require_edge_prob(edge_prob: float) -> None:
+    if not 0.0 < edge_prob <= 1.0:
+        raise InvalidSpec(f"edge probability must lie in (0, 1], got {edge_prob}")
+
+
+def _require_loop_prob(loop_prob: float) -> None:
+    if not 0.0 <= loop_prob <= 1.0:
+        raise InvalidSpec(f"loop probability must lie in [0, 1], got {loop_prob}")
+
+
 def sample_connected_graphs(count: int, n_lo: int, n_hi: int,
                             edge_prob: float, loop_prob: float,
                             seed: int) -> list[SelfLoopGraph]:
-    """Rejection-sample connected graphs with at least one edge.  Gives up
-    after 1000 attempts per graph, or once the attempts rejected in a row
-    have drawn more than _MAX_REJECTED_DRAWS numbers."""
+    """Rejection-sample connected graphs with at least one edge, after
+    refusing a bad order range or probability.  Gives up after 1000
+    attempts per graph, or once the attempts rejected in a row have drawn
+    more than _MAX_REJECTED_DRAWS numbers."""
+    _require_order_range(n_lo, n_hi)
+    _require_edge_prob(edge_prob)
+    _require_loop_prob(loop_prob)
     rng = SplitMix64(seed)
     out: list[SelfLoopGraph] = []
     attempts = 0

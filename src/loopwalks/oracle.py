@@ -239,7 +239,7 @@ def _powers(rows: list[int], h: int) -> list[list[list[int]]]:
     if h >= 2:
         powers.append([[(row & other).bit_count() for other in rows]
                        for row in rows])
-    supports = [[j for j in range(n) if row >> j & 1] for row in rows]
+    supports = [[j for j in range(n) if row >> j & 1] for row in rows] if h >= 3 else ()
     for _ in range(3, h + 1):
         powers.append([[sum(map(line.__getitem__, support)) for support in supports]
                        for line in powers[-1]])

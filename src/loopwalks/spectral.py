@@ -461,9 +461,9 @@ def _require_chain_depth(depth: int) -> None:
 
 def _require_bound_hypotheses(graph: SelfLoopGraph) -> None:
     if not is_connected(graph):
-        raise DisconnectedInput("bound verification assumes a connected graph")
+        raise DisconnectedInput("connectivity hypotheses unmet")
     if graph.size < 1:
-        raise HypothesisNotMet("bound verification assumes at least one edge")
+        raise HypothesisNotMet("the bounds assume at least one edge")
 
 
 def verify_ratio_chain(graph: SelfLoopGraph, q_max: int) -> list[dict]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import groupby
 
 from .census import SubgraphCensus, subgraph_census
 from .errors import InvalidLoopPlacement, UnsupportedFamily
@@ -151,29 +152,13 @@ def _loop_flags(n: int, loops: tuple[int, ...]) -> list[bool]:
 
 
 def _loop_blocks(flags: list[bool], cyclic: bool) -> tuple[int, int]:
-    """(maximal blocks of >= 2 consecutive loops, isolated loops)."""
-    n = len(flags)
-    total = sum(flags)
-    if total == 0:
-        return 0, 0
-    if total == n:
-        if cyclic:
-            return 1, 0
-        return (1, 0) if n >= 2 else (0, 1)
-    seq = flags
+    """(maximal blocks of >= 2 consecutive loops, isolated loops).  A cyclic
+    sequence is read from an unlooped vertex, so no run wraps around."""
     if cyclic:
+        if all(flags):
+            return (1, 0) if flags else (0, 0)
         pivot = flags.index(False)
-        seq = flags[pivot:] + flags[:pivot]
-    runs = 0
-    isolated = 0
-    length = 0
-    for flag in seq + [False]:
-        if flag:
-            length += 1
-        else:
-            if length == 1:
-                isolated += 1
-            elif length >= 2:
-                runs += 1
-            length = 0
-    return runs, isolated
+        flags = flags[pivot:] + flags[:pivot]
+    lengths = [sum(1 for _ in run) for looped, run in groupby(flags) if looped]
+    isolated = lengths.count(1)
+    return len(lengths) - isolated, isolated

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
-from loopwalks import (FamilySpec, NoConvergence, ParseError, generate,
-                       parse_graph, serialize_graph, spectral, walks)
+from loopwalks import (FamilySpec, InvalidSpec, NoConvergence, ParseError,
+                       SizeLimitExceeded, generate, parse_graph, serialize_graph,
+                       spectral, walks)
 from loopwalks.cli import main
 from loopwalks.families import SplitMix64, sample_connected_graphs
 
@@ -826,16 +831,69 @@ def test_walks_refuses_trace_work_past_the_budget(monkeypatch, tmp_path, capsys)
 @pytest.mark.parametrize("argv", [["verify", "{path}", "--rst", "-1,-4,-2"],
                                   ["walks", "{path}", "--kmax"]])
 def test_argument_errors_are_one_line(tmp_path, capsys, argv):
-    # argparse's own errors keep the one-line exit-2 contract
+    # argparse's own errors leave main by the one input-error path
     path = tmp_path / "g.txt"
     path.write_text("n 2\ne 0 1\n")
-    with pytest.raises(SystemExit) as exc:
-        main([arg.format(path=path) for arg in argv])
-    assert exc.value.code == 2
+    assert main([arg.format(path=path) for arg in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def test_module_exits_2_on_an_argument_error(tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_text("n 2\ne 0 1\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-m", "loopwalks", "walks", str(path), "--kmax"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: argument --kmax: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["walks", "FILE", "--kmax", "0"],
+    ["walks", "FILE", "--kmax", "65"],
+    ["walks", "FILE", "--kmax", "x"],
+    ["moments", "FILE", "--q", "1,nan"],
+    ["verify", "--sample", "0"],
+    ["verify", "--sample", "5", "--n-range", "2,641"],
+    ["verify", "FILE", "--n-range", "5,4"],
+    ["verify", "--sample", "5", "--edge-prob", "0"],
+    ["verify", "FILE", "--edge-prob", "0"],
+    ["verify", "FILE", "--loop-prob", "2"],
+    ["verify", "FILE", "--chain-depth", "0"],
+    ["verify", "--sample", "5", "--chain-depth", "1025"],
+    ["verify", "FILE", "--rst", "1,0,0"],
+    ["generate", "--family", "path", "--n", "3", "--loops", "a"],
+], ids=" ".join)
+def test_bad_flag_is_refused_before_any_work(monkeypatch, capsys, argv):
+    # each flag is checked as it is parsed: no file is read, no graph is
+    # sampled and no spectrum is solved, whatever the subcommand
+    from loopwalks import cli
+
+    def not_reached(*args):
+        raise AssertionError("work done past a bad flag")
+
+    monkeypatch.setattr(cli, "load_graph", not_reached)
+    monkeypatch.setattr(cli, "sample_connected_graphs", not_reached)
+    monkeypatch.setattr(spectral, "eigenvalues", not_reached)
+    flag = next(arg for arg in reversed(argv) if arg.startswith("--"))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: argument {flag}: ")
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "-h"])
+    assert exc.value.code == 0
+    assert "--chain-depth" in capsys.readouterr().out
 
 
 # -- sampler ---------------------------------------------------------------------
@@ -862,3 +920,26 @@ def test_sampler_reproducible():
     first = sample_connected_graphs(10, 4, 10, 0.5, 0.5, seed=5)
     second = sample_connected_graphs(10, 4, 10, 0.5, 0.5, seed=5)
     assert first == second
+
+
+@pytest.mark.parametrize("n_lo, n_hi, edge_prob, loop_prob, error", [
+    (5, 4, 0.5, 0.5, InvalidSpec),
+    (7, 5, 0.5, 0.5, InvalidSpec),
+    (8, 5, 0.5, 0.5, InvalidSpec),
+    (1, 5, 0.5, 0.5, InvalidSpec),
+    (2, 641, 0.5, 0.5, SizeLimitExceeded),
+    (4, 10, 0.0, 0.5, InvalidSpec),
+    (4, 10, 1.5, 0.5, InvalidSpec),
+    (4, 10, 0.5, -0.5, InvalidSpec),
+])
+def test_sampler_refuses_bad_input_before_drawing(monkeypatch, n_lo, n_hi,
+                                                  edge_prob, loop_prob, error):
+    # (5, 4) once divided by zero and (7, 5) once gave only order 7
+    from loopwalks import families
+
+    def not_reached(seed):
+        raise AssertionError("drew from the generator past a bad input")
+
+    monkeypatch.setattr(families, "SplitMix64", not_reached)
+    with pytest.raises(error):
+        sample_connected_graphs(20, n_lo, n_hi, edge_prob, loop_prob, seed=1)
