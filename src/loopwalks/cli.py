@@ -13,22 +13,23 @@ Subcommands::
 
 Reports are printed as JSON (default, deterministic: sorted keys, reals
 rounded to 12 significant digits) or as an aligned text table via
-``--format table``.  JSON is written in one rounding pass: each real is
-rounded as it is written, byte for byte what ``json.dumps(sort_keys=True,
-indent=2)`` gives on the rounded report, without first building a rounded
-copy (see ``_dict_text`` and ``_real_text``).  ``verify`` renders each
-graph's entry as soon as its rows are built and writes the texts only
-once every graph is evaluated, so its memory is the output text plus one
-graph's rows, and an input error met on a later graph still prints only
-its ``error:`` line.  Exit status: 0 when every requested check holds, 1
-when a verified inequality or cross-check fails (closed forms within
-1e-7, relative above magnitude 1), 2 on input errors, each one ``error:``
-line.  Each flag is checked as it is parsed, by its argparse ``type``,
-with the library's own guard where the library owns the rule, so a bad
-value is refused before any file is read or any graph sampled or solved;
-argparse's own errors take the same path.  ``verify`` skips a graph whose
-moment or bound overflows a float with a per-graph note, as it skips a
-disconnected graph or one without an edge, and reports the rest.
+``--format table``.  JSON is written in one rounding pass, byte for byte
+what ``json.dumps(sort_keys=True, indent=2)`` gives on the rounded report
+(see ``_json_text``).  ``verify`` renders each graph's entry as soon as
+its rows are built and writes the texts only once every graph is
+evaluated, so its memory is the output text plus one graph's rows, and an
+input error met on a later graph still prints only its ``error:`` line.
+Exit status: 0 when every requested check holds, 1 when a verified
+inequality or cross-check fails (closed forms within 1e-7, relative above
+magnitude 1), 2 on input errors, each one ``error:`` line.  Each flag is
+checked as it is parsed, by its argparse ``type``, which calls the
+library's own check where the library owns the rule (the ``--q`` and
+``--rst`` exponents must be finite and >= 0), so a bad value is refused
+before any file is read or any graph sampled or solved; argparse's own
+errors take the same path.  A value such as ``-1,2`` is read as a value,
+not as an option.  ``verify`` skips a graph whose moment or bound
+overflows a float with a per-graph note, as it skips a disconnected graph
+or one without an edge, and reports the rest.
 """
 
 from __future__ import annotations
@@ -36,13 +37,14 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import re
 import sys
 from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 from typing import NoReturn, Sequence
 
 from . import families, oracle, spectral
-from .errors import FloatOverflow, HypothesisNotMet, LoopwalksError, SizeLimitExceeded
+from .errors import FloatOverflow, HypothesisNotMet, LoopwalksError
 from .families import FAMILIES, FamilySpec, generate, sample_connected_graphs
 from .graph_core import SelfLoopGraph, is_connected
 from .graphio import load_graph, serialize_graph
@@ -287,7 +289,7 @@ def _verify_one(graph: SelfLoopGraph, chain_depth: int,
     try:
         spectral._require_bound_hypotheses(graph)
         rows = [spectral.mcclelland_bound(graph),
-                *spectral._cs_rows(graph, spectral._cs_grid()),
+                *spectral._cs_rows(graph, spectral._CS_GRID),
                 *spectral.verify_ratio_chain(graph, chain_depth),
                 *spectral.energy_lower_bounds(graph, rst)]
     except (HypothesisNotMet, FloatOverflow) as exc:
@@ -393,12 +395,9 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
     try:
-        values = tuple(float(token) for token in text.strip().split(","))
+        return tuple(float(token) for token in text.strip().split(","))
     except ValueError:
         raise LoopwalksError(f"expected comma-separated numbers, got {text!r}") from None
-    if not all(map(math.isfinite, values)):
-        raise LoopwalksError(f"expected finite numbers, got {text!r}")
-    return values
 
 
 def _checked(parse, rule=lambda value: None):
@@ -430,7 +429,12 @@ def _order_range(bounds: tuple[int, ...]) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raises its subparsers' usage errors and its own as LoopwalksError."""
+    """Raises its usage errors as LoopwalksError, and reads "-" then a digit
+    or "." as a value (``--rst -1,-4,-2``): no option here looks like that."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message: str) -> NoReturn:
         raise LoopwalksError(message)
@@ -453,8 +457,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_moments = sub.add_parser("moments", help="spectrum, moments, energy")
     p_moments.add_argument("file")
-    p_moments.add_argument("--q", type=_checked(_parse_float_list), default="0,1,2,3,4",
-                           help="comma-separated twisted-moment exponents")
+    p_moments.add_argument(
+        "--q", default="0,1,2,3,4", help="comma-separated twisted-moment exponents",
+        type=_checked(_parse_float_list, lambda qs: spectral._require_exponents(*qs)))
     add_format(p_moments)
 
     p_census = sub.add_parser("census", help="substructure counts")
@@ -536,10 +541,7 @@ def _verify_from_args(args: argparse.Namespace) -> tuple[list[str], int]:
     for path in args.files:
         graph = load_graph(path)
         # refused before the connectivity check builds its O(n) bit rows
-        if graph.order > spectral._MAX_DENSE_ORDER:
-            raise SizeLimitExceeded(
-                f"{path} has order {graph.order}, past the eigensolver's "
-                f"order guard of {spectral._MAX_DENSE_ORDER}")
+        spectral._require_dense_order(graph.order)
         labeled.append((path, graph))
     sampler_info = None
     if args.sample is not None:

@@ -52,7 +52,7 @@ class SamplerExhausted(LoopwalksError, RuntimeError):
 
 
 class NegativeExponentUnsupported(LoopwalksError, ValueError):
-    """Twisted moments are only defined here for exponents q >= 0."""
+    """Twisted moments are only defined here for finite q >= 0."""
 
 
 class HypothesisNotMet(LoopwalksError, ValueError):

@@ -72,4 +72,7 @@ def serialize_graph(graph: SelfLoopGraph, comment: str | None = None) -> str:
 
 
 def load_graph(path: str | Path) -> SelfLoopGraph:
-    return parse_graph(Path(path).read_text(encoding="utf-8"))
+    try:
+        return parse_graph(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"byte {exc.start} is not UTF-8 text ({exc.reason})") from None

@@ -13,9 +13,10 @@ the number of QL iterations taken.  Twisted moments are computed from the
 float spectrum; the plain spectral moments M_0..M_4 are the order and the
 exact closed-walk counts of ``walk_counts``.  The trace identities
 sum lambda^k = tr A^k, checked against ``oracle.trace_power`` in the tests,
-are the error detector that ties the spectrum to the exact counts.  A
-twisted moment or a bound whose value overflows a float is refused with
-``FloatOverflow`` (a ``SizeLimitExceeded``) naming the exponent.
+are the error detector that ties the spectrum to the exact counts.  Each
+input rule is stated once, in a ``_require_*`` check the CLI also calls at
+parse time; an exponent q must be finite and >= 0.  A moment or bound that
+overflows a float is refused with ``FloatOverflow`` naming the exponent.
 
 Each per-graph layer is computed once.  ``eigenvalues`` is the one
 solver entry point and always solves; every other function here reads the
@@ -31,16 +32,12 @@ one graph share them.  ``moment_report`` returns the ``moments`` and
 
 The bounds are evaluated once per graph.  An evaluated bound has one
 form, the {"name", "lhs", "rhs", "slack", "holds"} dict a report holds,
-and each inequality has one builder that every caller shares:
-``mcclelland_bound``, ``verify_ratio_chain`` and ``energy_lower_bounds``
-build their own rows, and ``_cs_rows`` builds the Cauchy-Schwarz rows of
-any (p, q) terms, both the grid ``verify`` reports in one pass and the
-single term of ``verify_cauchy_schwarz``.  Row names come from caches
-keyed by the exponents or the chain depth.  A row holds when its slack
-passes the tolerance (1e-9, scaled by the ratios on the ratio chain).  The
-Cauchy-Schwarz and Hoelder rows on the deviations |lambda - sigma/n|
-(McClelland, the Cauchy-Schwarz grid, the ratio chain, the moment and
-(r, s, t) energy bounds) are equalities exactly when the nonzero
+and each inequality has one builder that every caller shares;
+``_cs_rows`` builds the Cauchy-Schwarz rows of any (p, q) terms, both the
+grid ``verify`` reports and the single term of ``verify_cauchy_schwarz``.
+A row holds when its slack passes the tolerance (1e-9, scaled by the
+ratios on the ratio chain).  The Cauchy-Schwarz and Hoelder rows on the
+deviations |lambda - sigma/n| are equalities exactly when the nonzero
 deviations are all equal, and none is zero if the row uses M_0; such a
 row whose slack fails the tolerance still holds when an exact integer
 certificate proves that equality.
@@ -113,15 +110,8 @@ class Spectrum:
 
 
 def eigenvalues(graph: SelfLoopGraph) -> Spectrum:
-    """Solve the symmetric eigenproblem of the adjacency matrix.
-
-    Refuses orders above _MAX_DENSE_ORDER before building the matrix.
-    """
-    n = graph.order
-    if n > _MAX_DENSE_ORDER:
-        raise SizeLimitExceeded(
-            f"the dense eigensolver is guarded to order <= {_MAX_DENSE_ORDER}; "
-            f"got order {n}")
+    """Solve the symmetric eigenproblem of the adjacency matrix."""
+    _require_dense_order(graph.order)
     values, iterations = _householder_ql(adjacency_rows(graph, 1.0))
     center = _center(graph)
     spectrum = _snap(values, center)
@@ -129,6 +119,12 @@ def eigenvalues(graph: SelfLoopGraph) -> Spectrum:
                     residual=_trace_residual(graph, spectrum),
                     sweeps_used=iterations,
                     moments=_Moments(spectrum, center))
+
+
+def _require_dense_order(order: int) -> None:
+    if order > _MAX_DENSE_ORDER:
+        raise SizeLimitExceeded(f"the dense eigensolver is guarded to order "
+                                f"<= {_MAX_DENSE_ORDER}; got order {order}")
 
 
 def _snap(values: list[float], center: float) -> tuple[float, ...]:
@@ -239,10 +235,15 @@ def _center(graph: SelfLoopGraph) -> float:
     return graph.sigma / graph.order
 
 
+def _require_exponents(*qs: float) -> None:
+    if not all(0 <= q < math.inf for q in qs):
+        raise NegativeExponentUnsupported(
+            "exponents must be finite and >= 0, got " + ",".join(f"{q:g}" for q in qs))
+
+
 def twisted_moment(graph: SelfLoopGraph, q: float) -> float:
     """Sum of |eigenvalue - sigma/n|^q over the spectrum, with 0^0 = 1."""
-    if q < 0:
-        raise NegativeExponentUnsupported(f"exponent must be >= 0, got {q}")
+    _require_exponents(q)
     return _spectrum(graph).moments[q]
 
 
@@ -380,17 +381,13 @@ def _cs_term(p: float, q: float) -> tuple[str, float, float, float, bool]:
             p == 0 or p == q)
 
 
-@functools.cache
-def _cs_grid() -> tuple[tuple[str, float, float, float, bool], ...]:
-    """The terms of the Cauchy-Schwarz rows over every p <= q of
-    ``_DEFAULT_CS_EXPONENTS``."""
-    grid = _DEFAULT_CS_EXPONENTS
-    return tuple(_cs_term(p, q) for p in grid for q in grid if p <= q)
+_CS_GRID = tuple(_cs_term(p, q) for p in _DEFAULT_CS_EXPONENTS
+                 for q in _DEFAULT_CS_EXPONENTS if p <= q)
 
 
 def _cs_rows(graph: SelfLoopGraph, terms: Iterable[tuple]) -> list[dict]:
     """M_q^2 <= M_{2q-2p} * M_{2p} for each term, in one pass: ``verify``
-    takes its grid from here with the terms of ``_cs_grid``."""
+    takes its grid from here with the terms of ``_CS_GRID``."""
     moments = _spectrum(graph).moments
     rows = []
     for name, q, a, b, uses_m0 in terms:
@@ -416,14 +413,12 @@ def _rst_name(r: float, s: float, t: float) -> str:
 
 def _require_rst(triple: Iterable[float]) -> tuple[float, float, float]:
     """The (r, s, t) of an energy lower bound as floats, refused unless
-    they are three numbers >= 0 with 4r = s + t + 2."""
+    they are three finite numbers >= 0 with 4r = s + t + 2."""
     values = tuple(float(x) for x in triple)
     if len(values) != 3:
         raise ConstraintViolation(f"rst expects three numbers, got {values}")
+    _require_exponents(*values)
     r, s, t = values
-    if min(r, s, t) < 0:
-        raise NegativeExponentUnsupported(
-            f"rst exponents must be >= 0, got {values}")
     if abs(4.0 * r - (s + t + 2.0)) > 1e-12:
         raise ConstraintViolation(
             f"need 4r = s + t + 2, got r={r:g}, s={s:g}, t={t:g}")
@@ -431,10 +426,8 @@ def _require_rst(triple: Iterable[float]) -> tuple[float, float, float]:
 
 
 def verify_cauchy_schwarz(graph: SelfLoopGraph, p: float, q: float) -> dict:
-    """Check M_q^2 <= M_{2q-2p} * M_{2p} for 0 <= p <= q."""
-    if p < 0 or q < 0:
-        raise NegativeExponentUnsupported(
-            f"exponents must be >= 0, got p={p}, q={q}")
+    """Check M_q^2 <= M_{2q-2p} * M_{2p} for finite 0 <= p <= q."""
+    _require_exponents(p, q)
     if p > q:
         raise ConstraintViolation(f"need p <= q, got p={p}, q={q}")
     return _cs_rows(graph, (_cs_term(p, q),))[0]
@@ -530,9 +523,11 @@ def moment_report(graph: SelfLoopGraph,
     spectrum = _spectrum(graph)
     wc = walk_counts(graph)
     twisted = {f"{float(q):g}": twisted_moment(graph, q) for q in qs}
-    bounds = []
-    if is_connected(graph) and graph.size >= 1:
+    try:
+        _require_bound_hypotheses(graph)
         bounds = [mcclelland_bound(graph), *energy_lower_bounds(graph)]
+    except HypothesisNotMet:
+        bounds = []
     moments = {
         "eigenvalues": list(spectrum.eigenvalues),
         "residual": spectrum.residual,

@@ -59,6 +59,7 @@ def test_parse_ignores_blank_lines_and_comments():
     "n 2\ne 0 1\ne 1 0\n",     # duplicate edge
     "n 2\nl 0\nl 0\n",         # duplicate loop
     "",                        # missing order line
+    "l 0\nn 2\n",              # loop before the order line
 ])
 def test_parse_errors(text):
     with pytest.raises(ParseError):
@@ -828,30 +829,67 @@ def test_walks_refuses_trace_work_past_the_budget(monkeypatch, tmp_path, capsys)
                         "the trace route is guarded")
 
 
-@pytest.mark.parametrize("argv", [["verify", "{path}", "--rst", "-1,-4,-2"],
-                                  ["walks", "{path}", "--kmax"]])
-def test_argument_errors_are_one_line(tmp_path, capsys, argv):
+_ARGUMENT_ERRORS = [
+    # a comma list that starts with "-" is a value, so its flag's check names it
+    (["verify", "{path}", "--rst", "-1,-4,-2"],
+     "--rst: exponents must be finite and >= 0, got -1,-4,-2"),
+    (["walks", "{path}", "--kmax"], "--kmax: expected one argument"),
+    (["moments", "{path}", "--q", "-1,2"],
+     "--q: exponents must be finite and >= 0, got -1,2"),
+    (["verify", "--n-range", "-1,5"],
+     "--n-range: sampled orders need 2 <= LO <= HI, got -1,5"),
+    (["moments", "{path}", "--q", "abc"],
+     "--q: expected comma-separated numbers, got 'abc'"),
+]
+
+
+@pytest.mark.parametrize("argv,message", _ARGUMENT_ERRORS,
+                         ids=[f"argv{i}" for i in range(len(_ARGUMENT_ERRORS))])
+def test_argument_errors_are_one_line(tmp_path, capsys, argv, message):
     # argparse's own errors leave main by the one input-error path
     path = tmp_path / "g.txt"
     path.write_text("n 2\ne 0 1\n")
     assert main([arg.format(path=path) for arg in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert captured.err.splitlines() == [f"error: argument {message}"]
+
+
+def _run_module(*args):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-m", "loopwalks", *args],
+                          capture_output=True, text=True, env=env, timeout=60)
 
 
 def test_module_exits_2_on_an_argument_error(tmp_path):
     path = tmp_path / "g.txt"
     path.write_text("n 2\ne 0 1\n")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-m", "loopwalks", "walks", str(path), "--kmax"],
-                          capture_output=True, text=True, env=env, timeout=60)
+    done = _run_module("walks", str(path), "--kmax")
     assert done.returncode == 2
     assert done.stdout == ""
     lines = done.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: argument --kmax: ")
+
+
+_BAD_FILES = {"not_utf8": b"\xff\xfe", "nul_byte": b"n 3\x00\n",
+              "huge_order": b"n 99999999999999999999999\n"}
+
+
+@pytest.mark.parametrize("kind", [*_BAD_FILES, "directory", "missing"])
+def test_bad_input_file_is_one_line_exit_2(tmp_path, kind):
+    # a bad file never ends in a traceback, whichever subcommand reads it
+    path = tmp_path / kind
+    if kind == "directory":
+        path.mkdir()
+    elif kind in _BAD_FILES:
+        path.write_bytes(_BAD_FILES[kind])
+    for command in ("walks", "moments", "census", "verify"):
+        done = _run_module(command, str(path))
+        assert (done.returncode, done.stdout) == (2, ""), (command, done.stderr)
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (command, lines)
+        assert "Traceback" not in done.stderr
 
 
 @pytest.mark.parametrize("argv", [
@@ -859,6 +897,9 @@ def test_module_exits_2_on_an_argument_error(tmp_path):
     ["walks", "FILE", "--kmax", "65"],
     ["walks", "FILE", "--kmax", "x"],
     ["moments", "FILE", "--q", "1,nan"],
+    ["moments", "FILE", "--q=-1"],
+    ["moments", "FILE", "--q", "-1,2"],
+    ["moments", "FILE", "--q", "abc"],
     ["verify", "--sample", "0"],
     ["verify", "--sample", "5", "--n-range", "2,641"],
     ["verify", "FILE", "--n-range", "5,4"],
@@ -881,7 +922,7 @@ def test_bad_flag_is_refused_before_any_work(monkeypatch, capsys, argv):
     monkeypatch.setattr(cli, "load_graph", not_reached)
     monkeypatch.setattr(cli, "sample_connected_graphs", not_reached)
     monkeypatch.setattr(spectral, "eigenvalues", not_reached)
-    flag = next(arg for arg in reversed(argv) if arg.startswith("--"))
+    flag = next(arg.split("=")[0] for arg in reversed(argv) if arg.startswith("--"))
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -129,6 +129,11 @@ def test_single_vertex_path():
     lambda: FamilySpec.complete_bipartite(0, 2),
     lambda: FamilySpec.complete(3, loops=(3,)),
     lambda: FamilySpec.complete(3, loops=(1, 1)),
+    lambda: FamilySpec.path(0),
+    lambda: FamilySpec.wheel(5, rim_loops=5),
+    lambda: FamilySpec.star(4, leaf_loops=4),
+    lambda: FamilySpec.cycle(4).part_loop_counts(),
+    lambda: FamilySpec.path(3).center_looped,
 ])
 def test_invalid_specs_rejected(bad):
     with pytest.raises((InvalidSpec, InvalidLoopPlacement)):
@@ -168,6 +173,8 @@ def test_enumeration_connected_filter():
 def test_enumeration_guard():
     with pytest.raises(SizeLimitExceeded):
         next(enumerate_all_graphs(6))
+    with pytest.raises(InvalidSpec):
+        next(enumerate_all_graphs(0))
 
 
 def test_enumeration_is_deterministic():

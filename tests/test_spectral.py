@@ -414,6 +414,29 @@ def test_cauchy_schwarz_rejects_bad_exponents(k4_three_loops):
         verify_cauchy_schwarz(k4_three_loops, -1.0, 1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+def test_every_exponent_is_refused_by_one_check(monkeypatch, k4_three_loops, bad):
+    # M_q is defined for finite q >= 0; each entry point refuses the rest
+    # through spectral._require_exponents, not through a check of its own
+    from loopwalks import spectral
+
+    calls = []
+    check = spectral._require_exponents
+
+    def counted(*qs):
+        calls.append(qs)
+        check(*qs)
+
+    monkeypatch.setattr(spectral, "_require_exponents", counted)
+    for refused in (lambda: twisted_moment(k4_three_loops, bad),
+                    lambda: verify_cauchy_schwarz(k4_three_loops, 0.0, bad),
+                    lambda: energy_lower_bounds(k4_three_loops, [(bad, 0.0, 2.0)])):
+        before = len(calls)
+        with pytest.raises(NegativeExponentUnsupported, match="finite and >= 0"):
+            refused()
+        assert len(calls) == before + 1
+
+
 def test_ratio_chain_p3():
     records = verify_ratio_chain(generate(FamilySpec.path(3)), 6)
     assert all(r["holds"] for r in records)

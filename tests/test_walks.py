@@ -163,6 +163,8 @@ def test_closed_w4_unsupported_family():
         closed_form_w4(FamilySpec.wheel(6, rim_loops=1))
     with pytest.raises(UnsupportedFamily):
         closed_form_w4(FamilySpec.kneser(2))
+    with pytest.raises(UnsupportedFamily, match="n >= 2"):
+        closed_form_w4(FamilySpec.path(1))
 
 
 # -- closed form vs general formula sweeps ----------------------------------
