@@ -15,10 +15,9 @@ Reports are printed as JSON (default, deterministic: sorted keys, reals
 rounded to 12 significant digits) or as an aligned text table via
 ``--format table``.  JSON is written in one rounding pass, byte for byte
 what ``json.dumps(sort_keys=True, indent=2)`` gives on the rounded report
-(see ``_json_text``).  ``verify`` renders each graph's entry as soon as
-its rows are built and writes the texts only once every graph is
-evaluated, so its memory is the output text plus one graph's rows, and an
-input error met on a later graph still prints only its ``error:`` line.
+(see ``_json_text``).  ``verify`` writes its texts only once every graph
+is evaluated (see ``cmd_verify``), so an input error met on a later graph
+still prints only its ``error:`` line.
 Exit status: 0 when every requested check holds, 1 when a verified
 inequality or cross-check fails (closed forms within 1e-7, relative above
 magnitude 1), 2 on input errors, each one ``error:`` line.  Each flag is
@@ -56,6 +55,7 @@ _DEFAULT_RST = ((1.0, 0.0, 2.0), (1.5, 2.0, 2.0), (2.0, 3.0, 3.0))
 # Stands for the results list in the rendered frame of a verify report; no
 # other value there is a string.
 _RESULTS_SLOT = "\0"
+_ENTRIES_PER_TEXT = 32
 
 
 # -- report plumbing ------------------------------------------------------
@@ -307,7 +307,9 @@ def cmd_verify(labeled_graphs: Sequence[tuple[str, SelfLoopGraph]],
     The report comes back in ``fmt`` as texts to write in order.  Each
     graph's entry is rendered once its rows are built, so one graph's rows
     are alive at a time and no whole-report string is built.  The frame is
-    rendered once, and the entries go where it holds ``_RESULTS_SLOT``."""
+    rendered once, and the entries go where it holds ``_RESULTS_SLOT``,
+    ``_ENTRIES_PER_TEXT`` to a text, so a stream that keeps every text it
+    is given (``io.StringIO``) does not regrow a long list of them."""
     if fmt == "json":
         slot = _encode_str(_RESULTS_SLOT)
         opening, separator, closing = _level(1, "[]")
@@ -316,7 +318,7 @@ def cmd_verify(labeled_graphs: Sequence[tuple[str, SelfLoopGraph]],
         opening = separator = closing = ""
     reals: dict[float, str] = {}
     shapes: dict[tuple, tuple] = {}
-    texts = []
+    texts, group = [], []
     violations = 0
     skipped = 0
     for i, (label, graph) in enumerate(labeled_graphs):
@@ -332,22 +334,19 @@ def cmd_verify(labeled_graphs: Sequence[tuple[str, SelfLoopGraph]],
             text = _json_text(entry, 2, reals, shapes)
         else:
             text = _render_table(entry, f"results[{i}]")
-        texts.append((separator if texts else opening) + text)
-    frame = {
-        "chain_depth": chain_depth,
-        "rst": [list(triple) for triple in rst],
-        "cs_exponents": list(spectral._DEFAULT_CS_EXPONENTS),
-        "results": _RESULTS_SLOT,
-        "summary": {
-            "graphs": len(texts),
-            "skipped": skipped,
-            "violations": violations,
-        },
-    }
+        group.append((separator if texts or group else opening) + text)
+        if len(group) == _ENTRIES_PER_TEXT:
+            texts.append("".join(group))
+            group.clear()
+    frame = {"chain_depth": chain_depth, "rst": [list(triple) for triple in rst],
+             "cs_exponents": list(spectral._DEFAULT_CS_EXPONENTS),
+             "results": _RESULTS_SLOT,
+             "summary": {"graphs": len(labeled_graphs), "skipped": skipped,
+                         "violations": violations}}
     if sampler_info is not None:
         frame["sampler"] = sampler_info
     head, tail = render_report(frame, fmt).split(slot)
-    return [head, *texts, closing + tail], 1 if violations else 0
+    return [head, *texts, "".join([*group, closing + tail])], 1 if violations else 0
 
 
 def cmd_generate(args: argparse.Namespace) -> str:

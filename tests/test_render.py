@@ -9,8 +9,9 @@ from collections import OrderedDict
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from loopwalks.cli import (_DEFAULT_RST, _graph_summary, _real_text, _round_real,
-                           _verify_one, cmd_verify, render_report)
+from loopwalks.cli import (_DEFAULT_RST, _ENTRIES_PER_TEXT, _graph_summary,
+                           _real_text, _round_real, _verify_one, cmd_verify,
+                           render_report)
 from loopwalks.families import sample_connected_graphs
 from loopwalks.spectral import _DEFAULT_CS_EXPONENTS
 
@@ -177,6 +178,18 @@ def test_writers_match_reference_on_verify_report(fmt):
     graphs = sample_connected_graphs(200, 2, 10, 0.5, 0.5, seed=42)
     labeled = [(f"sample[{i}]", g) for i, g in enumerate(graphs)]
     texts, _ = cmd_verify(labeled, 8, _DEFAULT_RST, fmt)
+    reference = _reference_json if fmt == "json" else _reference_table
+    assert "".join(texts) == reference(_verify_report(labeled, 8, _DEFAULT_RST))
+
+
+@pytest.mark.parametrize("count", [1, 31, 32, 33, 64])
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_verify_texts_hold_a_group_of_entries_each(fmt, count):
+    # the frame's head, one text per full group, then the rest with the tail
+    graphs = sample_connected_graphs(count, 2, 6, 0.5, 0.5, seed=7)
+    labeled = [(f"sample[{i}]", g) for i, g in enumerate(graphs)]
+    texts, _ = cmd_verify(labeled, 8, _DEFAULT_RST, fmt)
+    assert len(texts) == 2 + count // _ENTRIES_PER_TEXT
     reference = _reference_json if fmt == "json" else _reference_table
     assert "".join(texts) == reference(_verify_report(labeled, 8, _DEFAULT_RST))
 
