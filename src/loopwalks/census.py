@@ -7,31 +7,43 @@ whose vertex set induces a full 4-clique is booked under the clique count
 only; a 4-cycle on a 4-set inducing five edges (a diamond) still counts as
 a 4-cycle.  Total 4-cycles therefore decompose as c4_not_k4 + 3 * k4_count.
 
-Every count but the loop-boundary one is a total: the walk formulas read
-no per-vertex triangle or 4-cycle counts, so none are kept.  Adjacency is
-read only through the graph's neighbor bitmasks, loop mask and degrees.
-The loop-boundary counts of a vertex are popcounts of its neighborhood
-with and without the loop mask.  Triangles are popcounts of common
-neighbors along each edge.  4-cycles are counted by codegrees, not by
-scanning 4-sets: the sum over vertex pairs of C(|N(u) & N(v)|, 2) counts
-each 4-cycle twice and each 4-clique six times, and the 4-cliques are one
-popcount per triangle.  The cost is O(n^2) mask popcounts over the
-vertices of degree >= 2 plus one popcount per edge and per triangle;
-edgeless graphs cost O(n).  ``subgraph_census`` refuses orders above 640,
-as the eigensolver does, before any part runs.  ``SubgraphCensus.as_dict``,
-what ``census`` prints, is its fields by name.
+Each quantity has one function, and the counts split as the graph does,
+into its skeleton (the proper edges on ``order`` vertices) and its loop set
+S.  ``zagreb1`` (the sum of squared degrees), ``four_cycle_total`` and
+``four_clique_count`` read the skeleton alone, so each is taken once per
+skeleton and kept in the counts dict of the skeleton's memo entry in
+``graph_core``, keyed by ``(order, edges)``: the loop variants of one edge
+set share them.  ``loop_degree_sum`` and ``boundary_edges`` (the sums of
+degrees and of n1 over S) and ``triangle_census`` read the loop set too and
+are taken per graph.  ``walks.walk_counts`` reads only these totals and
+the 4-cycle total; only ``subgraph_census``, what the ``census`` report
+prints, lists 4-cliques and builds the per-vertex loop-boundary counts.
+
+Adjacency is read only through the graph's neighbor bitmasks, loop mask and
+degrees.  The loop-boundary counts of a vertex are popcounts of its
+neighborhood with and without the loop mask.  Triangles are popcounts of
+common neighbors along each edge.  4-cycles are counted by codegrees, not
+by scanning 4-sets: the sum over vertex pairs of C(|N(u) & N(v)|, 2) counts
+each 4-cycle twice, and the 4-cliques are one popcount per triangle.  The
+4-cycle total costs O(n^2) mask popcounts over the vertices of degree >= 2,
+the triangles one popcount per edge, and the 4-cliques one per triangle;
+edgeless graphs cost O(n).  ``subgraph_census`` and ``walk_counts`` refuse
+orders above 640, as the eigensolver does, before any part runs.
+``SubgraphCensus.as_dict``, what ``census`` prints, is its fields by name.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from itertools import combinations
+from typing import Callable
 
 from .errors import SizeLimitExceeded
-from .graph_core import SelfLoopGraph
+from .graph_core import SelfLoopGraph, _skeleton
 
-# the census of K_n with every third vertex looped took 0.24/1.8/7.5/19 s
-# at n = 160/320/480/640 (CHANGES.md), about what the solver takes at 640
+# the census of K_n with every third vertex looped took 0.3/2.7/7.4/21 s
+# at n = 160/320/480/640 (CHANGES.md), nearly all of it listing 4-cliques,
+# about what the solver takes at 640
 _MAX_CENSUS_ORDER = 640
 
 
@@ -54,6 +66,46 @@ class SubgraphCensus:
         return asdict(self)
 
 
+def _require_census_order(order: int) -> None:
+    if order > _MAX_CENSUS_ORDER:
+        raise SizeLimitExceeded(
+            f"the census is guarded to order <= {_MAX_CENSUS_ORDER}; "
+            f"got order {order}")
+
+
+def _per_skeleton(graph: SelfLoopGraph, count: Callable[[SelfLoopGraph], int]) -> int:
+    """``count(graph)`` for a count that reads the skeleton alone, taken once
+    per skeleton and kept in its memo entry."""
+    counts = _skeleton(graph)[4]
+    value = counts.get(count)
+    if value is None:
+        value = counts[count] = count(graph)
+    return value
+
+
+def zagreb1(graph: SelfLoopGraph) -> int:
+    """The first Zagreb index: the sum of squared degrees."""
+    return _per_skeleton(graph, _zagreb1)
+
+
+def _zagreb1(graph: SelfLoopGraph) -> int:
+    return sum(d * d for d in graph.degrees)
+
+
+def loop_degree_sum(graph: SelfLoopGraph) -> int:
+    """The sum of the degrees of the looped vertices."""
+    degrees = graph.degrees
+    return sum(degrees[v] for v in graph.loops)
+
+
+def boundary_edges(graph: SelfLoopGraph) -> int:
+    """The edges from a looped to an unlooped vertex: the sum of n1 over the
+    looped vertices."""
+    masks = graph.neighbor_masks
+    unlooped = ~graph.loop_mask
+    return sum((masks[v] & unlooped).bit_count() for v in graph.loops)
+
+
 def loop_boundary(graph: SelfLoopGraph) -> tuple[tuple[int, ...], tuple[int, ...], int]:
     """Per-vertex counts of neighbors across the loop-set boundary.
 
@@ -73,8 +125,7 @@ def loop_boundary(graph: SelfLoopGraph) -> tuple[tuple[int, ...], tuple[int, ...
         else:
             n1.append(looped)
             n2.append(0)
-    n1_sum_s = sum(n1[v] for v in graph.loops)
-    return tuple(n1), tuple(n2), n1_sum_s
+    return tuple(n1), tuple(n2), boundary_edges(graph)
 
 
 def triangle_census(graph: SelfLoopGraph) -> tuple[int, int, int, int]:
@@ -97,23 +148,37 @@ def triangle_census(graph: SelfLoopGraph) -> tuple[int, int, int, int]:
     return sum(by_loops), by_loops[1], by_loops[2], by_loops[3]
 
 
-def four_cycle_census(graph: SelfLoopGraph) -> tuple[int, int]:
-    """(4-cycles whose vertex set does not induce a 4-clique, 4-cliques).
+def four_cycle_total(graph: SelfLoopGraph) -> int:
+    """Every 4-cycle, 4-clique cycles included.
 
     A 4-cycle is a pair of opposite vertices with two of their common
     neighbors, so the sum over vertex pairs of C(codegree, 2) counts every
-    4-cycle twice, once per diagonal, and each 4-clique holds three.  The
-    4-cliques v < w < x < y are counted from each edge (v, w) and each
-    common neighbor x above w, as the common neighbors of all three above x.
+    4-cycle twice, once per diagonal.
     """
+    return _per_skeleton(graph, _four_cycles)
+
+
+def _four_cycles(graph: SelfLoopGraph) -> int:
     masks = graph.neighbor_masks
     # Both ends of a codegree >= 2 have degree >= 2; skipping the other
     # vertices makes an edgeless graph cost O(n).
-    hubs = [masks[v] for v in range(graph.order) if masks[v] & (masks[v] - 1)]
+    hubs = [mask for mask in masks if mask & (mask - 1)]
     pairs = 0
     for v_mask, u_mask in combinations(hubs, 2):
         codegree = (v_mask & u_mask).bit_count()
         pairs += codegree * (codegree - 1) >> 1
+    return pairs // 2
+
+
+def four_clique_count(graph: SelfLoopGraph) -> int:
+    """The 4-cliques v < w < x < y, counted from each edge (v, w) and each
+    common neighbor x above w, as the common neighbors of all three above x.
+    """
+    return _per_skeleton(graph, _four_cliques)
+
+
+def _four_cliques(graph: SelfLoopGraph) -> int:
+    masks = graph.neighbor_masks
     k4 = 0
     for v, w in graph.edges:
         above_w = masks[v] & masks[w] & (-1 << (w + 1))
@@ -121,25 +186,28 @@ def four_cycle_census(graph: SelfLoopGraph) -> tuple[int, int]:
             low = above_w & -above_w
             above_w ^= low
             k4 += (above_w & masks[low.bit_length() - 1]).bit_count()
-    return pairs // 2 - 3 * k4, k4
+    return k4
+
+
+def four_cycle_census(graph: SelfLoopGraph) -> tuple[int, int]:
+    """(4-cycles whose vertex set does not induce a 4-clique, 4-cliques).
+    Each 4-clique holds three 4-cycles."""
+    k4 = four_clique_count(graph)
+    return four_cycle_total(graph) - 3 * k4, k4
 
 
 def subgraph_census(graph: SelfLoopGraph) -> SubgraphCensus:
-    """Compute every count the closed-walk formulas need, in one pass.
+    """Every count the ``census`` report prints.
 
     Refuses orders above _MAX_CENSUS_ORDER before any part runs.
     """
-    if graph.order > _MAX_CENSUS_ORDER:
-        raise SizeLimitExceeded(
-            f"the census is guarded to order <= {_MAX_CENSUS_ORDER}; "
-            f"got order {graph.order}")
-    degrees = graph.degrees
+    _require_census_order(graph.order)
     n1, n2, n1_sum_s = loop_boundary(graph)
     tri_total, t1, t2, t3 = triangle_census(graph)
     c4, k4 = four_cycle_census(graph)
     return SubgraphCensus(
-        zagreb1=sum(d * d for d in degrees),
-        degree_sum_S=sum(degrees[v] for v in graph.loops),
+        zagreb1=zagreb1(graph),
+        degree_sum_S=loop_degree_sum(graph),
         n1_per_vertex=n1,
         n2_per_vertex=n2,
         n1_sum_S=n1_sum_s,

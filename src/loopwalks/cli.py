@@ -26,7 +26,11 @@ library's own check where the library owns the rule (the ``--q`` and
 ``--rst`` exponents must be finite and >= 0), so a bad value is refused
 before any file is read or any graph sampled or solved; argparse's own
 errors take the same path.  A value such as ``-1,2`` is read as a value,
-not as an option.  ``verify`` skips a graph whose moment or bound
+not as an option.  A graph file is read a line at a time in bounded memory
+(``graphio.load_graph_guarded``), and an order past the subcommand's guard
+(640 for each) is refused as soon as the ``n`` line is read.  With stdout
+closed, a subcommand that would write there is refused before any work.
+``verify`` skips a graph whose moment or bound
 overflows a float with a per-graph note, as it skips a disconnected graph
 or one without an edge, and reports the rest.
 """
@@ -42,11 +46,11 @@ from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 from typing import NoReturn, Sequence
 
-from . import families, oracle, spectral
+from . import census, families, oracle, spectral
 from .errors import FloatOverflow, HypothesisNotMet, LoopwalksError
 from .families import FAMILIES, FamilySpec, generate, sample_connected_graphs
 from .graph_core import SelfLoopGraph, is_connected
-from .graphio import load_graph, serialize_graph
+from .graphio import load_graph_guarded, serialize_graph
 from .census import subgraph_census
 from .oracle import traces_upto
 from .walks import walk_counts
@@ -511,6 +515,8 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
+    if sys.stdout is None and not (args.command == "generate" and args.output):
+        raise LoopwalksError("standard output is closed")
     if args.command == "generate":
         text = cmd_generate(args)
         if args.output:
@@ -521,7 +527,10 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "verify":
         texts, code = _verify_from_args(args)
     else:
-        graph = load_graph(args.file)
+        # each refuses an order past its own guard as the file's n line is read
+        graph = load_graph_guarded(args.file, spectral._require_dense_order
+                                   if args.command == "moments"
+                                   else census._require_census_order)
         if args.command == "walks":
             report, code = cmd_walks(graph, args.kmax)
         elif args.command == "moments":
@@ -538,10 +547,7 @@ def _verify_from_args(args: argparse.Namespace) -> tuple[list[str], int]:
     # sampler runs, so a bad file is refused at once; samples still come first
     labeled: list[tuple[str, SelfLoopGraph]] = []
     for path in args.files:
-        graph = load_graph(path)
-        # refused before the connectivity check builds its O(n) bit rows
-        spectral._require_dense_order(graph.order)
-        labeled.append((path, graph))
+        labeled.append((path, load_graph_guarded(path, spectral._require_dense_order)))
     sampler_info = None
     if args.sample is not None:
         graphs = sample_connected_graphs(args.sample, *args.n_range, args.edge_prob,

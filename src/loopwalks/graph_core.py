@@ -12,6 +12,18 @@ connectivity search ORs them, so neither keeps a list of its own.  The
 enumeration and trace routes in ``oracle`` read none of these: they build
 their own structures from ``edges`` and ``loops``.
 
+A graph is its skeleton, the proper edges on ``order`` vertices, plus the
+loop set.  The masks and degrees depend on the skeleton alone, so they come
+from a one-entry memo of the last skeleton derived, keyed by ``(order,
+edges)``: the loop variants of one skeleton, such as the exhaustive
+sweep's 2^n graphs per edge set, share one masks tuple and one degrees
+tuple.  The order is part of the key because the edgeless graphs of every
+order share the edge tuple ``()``.  A lookup tests the edge tuple's
+identity first, then its equality.  The memo entry also holds a dict in
+which ``census`` keeps the counts it takes from the skeleton alone.  Key
+and values are stored as one tuple in one assignment, so no reader pairs
+one skeleton's key with another's values.
+
 The cached attributes are ``_lazy`` descriptors, not
 ``functools.cached_property``: on Python 3.11 that takes an RLock on every
 first read (3.12 dropped the lock), and the exhaustive sweep reads most
@@ -28,6 +40,34 @@ from .errors import DuplicateEdge, IndexOutOfRange, SelfPairInEdgeList
 
 # Dense symmetric 0/1 matrix; entry (i, i) is 1 exactly for looped vertices.
 AdjacencyMatrix = tuple[tuple[int, ...], ...]
+
+
+# (order, edges, neighbor masks, degrees, census counts) of the last
+# skeleton derived; order 0 has no vertices, so the first entry is right too.
+_last_skeleton = (0, (), (), (), {})
+
+
+def _skeleton(graph: SelfLoopGraph) -> tuple:
+    """The memo entry of the graph's skeleton, derived on a miss."""
+    last = _last_skeleton
+    edges = last[1]
+    if last[0] == graph.order and (edges is graph.edges or edges == graph.edges):
+        return last
+    return _derive_skeleton(graph)
+
+
+def _derive_skeleton(graph: SelfLoopGraph) -> tuple:
+    """The neighbor bitmasks and degrees of the graph's skeleton, stored as
+    the memo's one entry with an empty dict for the census counts."""
+    global _last_skeleton
+    masks = [0] * graph.order
+    for u, v in graph.edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    masks = tuple(masks)
+    entry = _last_skeleton = (graph.order, graph.edges, masks,
+                              tuple(map(int.bit_count, masks)), {})
+    return entry
 
 
 class _lazy:
@@ -83,12 +123,8 @@ class SelfLoopGraph:
     @_lazy
     def neighbor_masks(self) -> tuple[int, ...]:
         """Neighborhoods as bitmasks, bit v set iff v is adjacent: the one
-        adjacency the graph derives."""
-        masks = [0] * self.order
-        for u, v in self.edges:
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        return tuple(masks)
+        adjacency the graph derives, shared by its skeleton's memo entry."""
+        return _skeleton(self)[2]
 
     @_lazy
     def loop_mask(self) -> int:
@@ -99,7 +135,8 @@ class SelfLoopGraph:
 
     @_lazy
     def degrees(self) -> tuple[int, ...]:
-        return tuple(map(int.bit_count, self.neighbor_masks))
+        """Popcounts of the neighbor masks, shared like them."""
+        return _skeleton(self)[3]
 
     @_lazy
     def connected(self) -> bool:

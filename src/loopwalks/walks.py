@@ -1,10 +1,18 @@
 """Exact closed-walk counters and per-family closed forms.
 
-``walk_counts`` is the one formula route: it expresses the number of closed
-1..4-walks through degree statistics and the subgraph census, taken once
-per graph through a private memo of the last graph asked for.  The
-per-family closed forms are pure arithmetic on a family description and
-never touch a graph, so the two routes cross-check each other.
+``walk_counts`` is the one formula route.  It expresses the number of
+closed 1..4-walks of G_S, the skeleton G with loops at S, through totals
+alone: sigma = |S|, the edge count m, the Zagreb sum of squared degrees,
+the sums over S of the degrees and of the boundary counts n1, the
+triangles by how many looped vertices they hold, and the 4-cycle total.
+The skeleton's terms (the Zagreb sum and the 4-cycles) are memoised per
+skeleton in ``census``; the terms of S are taken per graph.  The formula
+reads no per-vertex count and lists no 4-clique.  It calls each census
+part through the ``census`` module, so a wrapper put there sees every
+call, and it is evaluated once per graph through a private memo of the
+last graph asked for.  The per-family closed forms are pure arithmetic on
+a family description and never touch a graph, so the two routes
+cross-check each other.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ import functools
 from dataclasses import dataclass
 from itertools import groupby
 
-from .census import SubgraphCensus, subgraph_census
+from . import census
 from .errors import InvalidLoopPlacement, UnsupportedFamily
 from .families import FamilySpec
 from .graph_core import SelfLoopGraph
@@ -29,28 +37,30 @@ class WalkCounts:
     w4: int
 
 
-@functools.lru_cache(maxsize=1)
-def _census(graph: SelfLoopGraph) -> SubgraphCensus:
-    """The census of the last graph asked for, taken once.  Calls
-    ``subgraph_census`` by its module name, so a wrapper put there sees
-    every census."""
-    return subgraph_census(graph)
-
-
 def walk_counts(graph: SelfLoopGraph) -> WalkCounts:
-    """Closed 1..4-walk totals from degree statistics and the census."""
-    c = _census(graph)
+    """Closed 1..4-walk totals from degree statistics and census totals.
+
+    Refuses orders above the census guard before any census part runs."""
+    return _formula(graph)
+
+
+@functools.lru_cache(maxsize=1)
+def _formula(graph: SelfLoopGraph) -> WalkCounts:
+    """The walk counts of the last graph asked for, evaluated once."""
+    census._require_census_order(graph.order)
     sigma = graph.sigma
-    t1, t2, t3 = c.tri_loops
+    m = graph.size
+    degree_sum_s = census.loop_degree_sum(graph)
+    triangles, t1, t2, t3 = census.triangle_census(graph)
     return WalkCounts(
         w1=sigma,
-        w2=2 * graph.size + sigma,
-        w3=3 * c.degree_sum_S + 6 * c.triangles_total + sigma,
+        w2=2 * m + sigma,
+        w3=3 * degree_sum_s + 6 * triangles + sigma,
         w4=(sigma
-            + 2 * (c.zagreb1 - graph.size)
-            + 6 * c.degree_sum_S
-            - 2 * c.n1_sum_S
-            + 8 * (t1 + 2 * t2 + 3 * t3 + c.c4_not_k4 + 3 * c.k4_count)))
+            + 2 * (census.zagreb1(graph) - m)
+            + 6 * degree_sum_s
+            - 2 * census.boundary_edges(graph)
+            + 8 * (t1 + 2 * t2 + 3 * t3 + census.four_cycle_total(graph))))
 
 
 # -- per-family closed forms ------------------------------------------

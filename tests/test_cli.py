@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -8,10 +9,17 @@ from pathlib import Path
 import pytest
 
 from loopwalks import (FamilySpec, InvalidSpec, NoConvergence, ParseError,
-                       SizeLimitExceeded, generate, parse_graph, serialize_graph,
-                       spectral, walks)
+                       SizeLimitExceeded, census, generate, parse_graph,
+                       serialize_graph, spectral, walks)
 from loopwalks.cli import main
 from loopwalks.families import SplitMix64, sample_connected_graphs
+
+# the census totals the walk formula reads, and the parts only the census
+# report adds
+_FORMULA_PARTS = ("loop_degree_sum", "triangle_census", "zagreb1",
+                  "boundary_edges", "four_cycle_total")
+_CENSUS_PARTS = (*_FORMULA_PARTS, "loop_boundary", "four_clique_count",
+                 "four_cycle_census")
 
 
 def run_cli(capsys, *argv):
@@ -64,6 +72,30 @@ def test_parse_ignores_blank_lines_and_comments():
 def test_parse_errors(text):
     with pytest.raises(ParseError):
         parse_graph(text)
+
+
+@pytest.mark.parametrize("data", [
+    b"# c\r\nn 4\re 0 1\x0ce 2 3\n\nl 1\xe2\x80\xa8l 3",   # every line break
+    b"n 2\ne 0 1\ne 1 0\n",
+    b"n 2\ne 0 x\n\xc2\x85q",
+    b"n 3\ne 0 1\n\xe2\x80\xa8\xff\n",                     # not UTF-8 at byte 13
+    b"\n\n\xc3",
+])
+def test_guarded_loader_reads_what_the_library_reads(tmp_path, data):
+    # the CLI's line-by-line reader gives load_graph's graph or error; it
+    # reports the first error in file order, where load_graph reports a
+    # decoding error before any other
+    from loopwalks.graphio import load_graph, load_graph_guarded
+
+    path = tmp_path / "g.txt"
+    path.write_bytes(data)
+    results = []
+    for load in (load_graph, lambda p: load_graph_guarded(p, census._require_census_order)):
+        try:
+            results.append(load(path))
+        except ParseError as exc:
+            results.append(str(exc))
+    assert results[0] == results[1]
 
 
 # -- generate ----------------------------------------------------------------
@@ -264,8 +296,10 @@ def test_moments_refuses_an_order_past_the_solver_guard(monkeypatch, tmp_path, c
 
     monkeypatch.setattr(spectral, "adjacency_rows", not_reached)
     monkeypatch.setattr(oracle, "matrix_power_diagonal", not_reached)
-    monkeypatch.setattr(walks, "subgraph_census", not_reached)
+    for part in _CENSUS_PARTS:
+        monkeypatch.setattr(census, part, not_reached)
     spectral._spectrum.cache_clear()
+    walks._formula.cache_clear()
     path = tmp_path / "edgeless.txt"
     path.write_text(f"n {spectral._MAX_DENSE_ORDER + 1}\n")
     assert main(["moments", str(path)]) == 2
@@ -307,8 +341,6 @@ def test_census_edgeless(tmp_path, capsys):
 
 def test_large_edgeless_graph_walks_and_census(tmp_path, capsys):
     # the census is linear in the order on edgeless graphs; at its guard
-    from loopwalks import census
-
     path = tmp_path / "empty.txt"
     path.write_text(f"n {census._MAX_CENSUS_ORDER}\n")
     code, report = run_json(capsys, "walks", str(path), "--kmax", "1")
@@ -322,14 +354,12 @@ def test_large_edgeless_graph_walks_and_census(tmp_path, capsys):
 def test_census_refuses_an_order_past_its_guard(monkeypatch, tmp_path, capsys):
     # refused before any census part runs, even on an edgeless graph;
     # moments meets the solver's guard first
-    from loopwalks import census
-
     def not_reached(*args):
         raise AssertionError("census work done past the order guard")
 
-    for part in ("loop_boundary", "triangle_census", "four_cycle_census"):
+    for part in _CENSUS_PARTS:
         monkeypatch.setattr(census, part, not_reached)
-    walks._census.cache_clear()
+    walks._formula.cache_clear()
     path = tmp_path / "edgeless.txt"
     path.write_text(f"n {census._MAX_CENSUS_ORDER + 1}\n")
     _assert_input_error(capsys, ["census", str(path)], "census is guarded")
@@ -731,13 +761,14 @@ def test_verify_sample_solves_each_eigenproblem_once(monkeypatch, capsys):
 
 
 def test_moments_solves_and_takes_census_once(monkeypatch, k4_file, capsys):
+    # the formula reads each census total once, through its memo
     spectral._spectrum.cache_clear()
-    walks._census.cache_clear()
+    walks._formula.cache_clear()
     solves = _count_calls(monkeypatch, spectral, "eigenvalues")
-    censuses = _count_calls(monkeypatch, walks, "subgraph_census")
+    parts = [_count_calls(monkeypatch, census, part) for part in _FORMULA_PARTS]
     code, _ = run_json(capsys, "moments", k4_file)
     assert code == 0
-    assert (len(solves), len(censuses)) == (1, 1)
+    assert len(solves) == 1 and [len(calls) for calls in parts] == [1] * 5
 
 
 def test_verify_exit_one_on_violation(monkeypatch, tmp_path, capsys):
@@ -855,11 +886,27 @@ def test_argument_errors_are_one_line(tmp_path, capsys, argv, message):
     assert captured.err.splitlines() == [f"error: argument {message}"]
 
 
-def _run_module(*args):
+# the address space each module run may take: a reader that held a whole
+# unbounded file would fail here instead of filling the host's memory
+_CHILD_ADDRESS_SPACE = 1 << 30
+
+
+def _limit_child(close_stdout: bool):
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (_CHILD_ADDRESS_SPACE,) * 2)
+        if close_stdout:
+            os.close(1)
+    return limit
+
+
+def _run_module(*args, close_stdout=False):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH", "")])}
     return subprocess.run([sys.executable, "-m", "loopwalks", *args],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          stdin=subprocess.DEVNULL,
+                          stdout=None if close_stdout else subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+                          preexec_fn=_limit_child(close_stdout))
 
 
 def test_module_exits_2_on_an_argument_error(tmp_path):
@@ -873,20 +920,34 @@ def test_module_exits_2_on_an_argument_error(tmp_path):
 
 
 _BAD_FILES = {"not_utf8": b"\xff\xfe", "nul_byte": b"n 3\x00\n",
-              "huge_order": b"n 99999999999999999999999\n"}
+              "huge_order": b"n 99999999999999999999999\n",
+              "long_n_line": b"n " + b" " * (1 << 20) + b"5\n",
+              "repeated_edges": b"n 3\n" + b"e 0 1\n" * 100_000}
 
 
-@pytest.mark.parametrize("kind", [*_BAD_FILES, "directory", "missing"])
+@pytest.mark.parametrize("kind", [*_BAD_FILES, "directory", "missing",
+                                  "dev_zero", "closed_stdout"])
 def test_bad_input_file_is_one_line_exit_2(tmp_path, kind):
-    # a bad file never ends in a traceback, whichever subcommand reads it
+    # a bad file or a closed stdout never ends in a traceback, whichever
+    # subcommand meets it; an endless file is refused in bounded memory
     path = tmp_path / kind
+    commands = ["walks", "moments", "census", "verify"]
     if kind == "directory":
         path.mkdir()
     elif kind in _BAD_FILES:
         path.write_bytes(_BAD_FILES[kind])
-    for command in ("walks", "moments", "census", "verify"):
-        done = _run_module(command, str(path))
-        assert (done.returncode, done.stdout) == (2, ""), (command, done.stderr)
+    elif kind == "dev_zero":
+        path = Path("/dev/zero")
+        if not path.exists():
+            pytest.skip("no zero device")
+    elif kind == "closed_stdout":
+        path.write_text("n 3\ne 0 1\ne 1 2\nl 0\n")
+        commands.append("generate")
+    for command in commands:
+        argv = (["generate", "--family", "path", "--n", "3"]
+                if command == "generate" else [command, str(path)])
+        done = _run_module(*argv, close_stdout=kind == "closed_stdout")
+        assert (done.returncode, done.stdout or "") == (2, ""), (command, done.stderr)
         lines = done.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), (command, lines)
         assert "Traceback" not in done.stderr
@@ -919,7 +980,7 @@ def test_bad_flag_is_refused_before_any_work(monkeypatch, capsys, argv):
     def not_reached(*args):
         raise AssertionError("work done past a bad flag")
 
-    monkeypatch.setattr(cli, "load_graph", not_reached)
+    monkeypatch.setattr(cli, "load_graph_guarded", not_reached)
     monkeypatch.setattr(cli, "sample_connected_graphs", not_reached)
     monkeypatch.setattr(spectral, "eigenvalues", not_reached)
     flag = next(arg.split("=")[0] for arg in reversed(argv) if arg.startswith("--"))

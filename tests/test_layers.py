@@ -36,12 +36,24 @@ def test_traced_layer_resolves_to_a_function(target):
 
 
 def test_subgraph_census_calls_each_part_once_by_module_name(monkeypatch):
+    # the walk formula reads its totals by module name too, and never lists
+    # a 4-clique
+    from loopwalks import walks
+
+    parts = ("zagreb1", "loop_degree_sum", "boundary_edges", "loop_boundary",
+             "triangle_census", "four_cycle_total", "four_clique_count",
+             "four_cycle_census")
     calls = {}
-    for name in ("loop_boundary", "triangle_census", "four_cycle_census"):
+    for name in parts:
         def counting(graph, _name=name, _fn=getattr(census, name)):
             calls[_name] = calls.get(_name, 0) + 1
             return _fn(graph)
         monkeypatch.setattr(census, name, counting)
-    census.subgraph_census(generate(FamilySpec.complete(5, loops=(0, 3))))
-    assert calls == {"loop_boundary": 1, "triangle_census": 1,
-                     "four_cycle_census": 1}
+    graph = generate(FamilySpec.complete(5, loops=(0, 3)))
+    census.subgraph_census(graph)
+    assert calls == dict.fromkeys(parts, 1)
+    calls.clear()
+    walks._formula.cache_clear()
+    walks.walk_counts(graph)
+    assert calls == dict.fromkeys(("zagreb1", "loop_degree_sum", "boundary_edges",
+                                   "triangle_census", "four_cycle_total"), 1)
