@@ -346,8 +346,9 @@ def _equal_deviations(graph: SelfLoopGraph) -> tuple[bool, bool]:
     """
     n = graph.order
     sigma = graph.sigma
+    loop_mask = graph.loop_mask
     # row i of A: its neighbors, and i itself when looped
-    bits = [mask | (graph.loop_mask & (1 << i))
+    bits = [mask | (loop_mask & (1 << i))
             for i, mask in enumerate(graph.neighbor_masks)]
     members = [[j for j in range(n) if row >> j & 1] for row in bits]
     nn = n * n

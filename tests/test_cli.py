@@ -13,6 +13,7 @@ from loopwalks import (FamilySpec, InvalidSpec, NoConvergence, ParseError,
                        serialize_graph, spectral, walks)
 from loopwalks.cli import main
 from loopwalks.families import SplitMix64, sample_connected_graphs
+from loopwalks.graphio import _MAX_SKIPPED_LINES, load_graph_guarded
 
 # the census totals the walk formula reads, and the parts only the census
 # report adds
@@ -85,7 +86,7 @@ def test_guarded_loader_reads_what_the_library_reads(tmp_path, data):
     # the CLI's line-by-line reader gives load_graph's graph or error; it
     # reports the first error in file order, where load_graph reports a
     # decoding error before any other
-    from loopwalks.graphio import load_graph, load_graph_guarded
+    from loopwalks.graphio import load_graph
 
     path = tmp_path / "g.txt"
     path.write_bytes(data)
@@ -96,6 +97,16 @@ def test_guarded_loader_reads_what_the_library_reads(tmp_path, data):
         except ParseError as exc:
             results.append(str(exc))
     assert results[0] == results[1]
+
+
+def test_guarded_loader_takes_blank_and_comment_lines_up_to_its_cap(tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_bytes(b"#\n" * (_MAX_SKIPPED_LINES - 1) + b"n 2\ne 0 1\n\n")
+    assert load_graph_guarded(path, census._require_census_order) == parse_graph("n 2\ne 0 1")
+    with path.open("ab") as stream:
+        stream.write(b"# one more\n")
+    with pytest.raises(ParseError, match=f"line {_MAX_SKIPPED_LINES + 3}: more than"):
+        load_graph_guarded(path, census._require_census_order)
 
 
 # -- generate ----------------------------------------------------------------
@@ -922,7 +933,9 @@ def test_module_exits_2_on_an_argument_error(tmp_path):
 _BAD_FILES = {"not_utf8": b"\xff\xfe", "nul_byte": b"n 3\x00\n",
               "huge_order": b"n 99999999999999999999999\n",
               "long_n_line": b"n " + b" " * (1 << 20) + b"5\n",
-              "repeated_edges": b"n 3\n" + b"e 0 1\n" * 100_000}
+              "repeated_edges": b"n 3\n" + b"e 0 1\n" * 100_000,
+              # what an endless `yes '#'` sends, cut one line past the cap
+              "comment_lines": b"n 3\n" + b"#\n" * _MAX_SKIPPED_LINES + b" \n"}
 
 
 @pytest.mark.parametrize("kind", [*_BAD_FILES, "directory", "missing",

@@ -131,7 +131,7 @@ def test_is_connected_searches_once_per_graph():
         @property
         def neighbor_masks(self):
             searches.append(self)
-            return SelfLoopGraph.neighbor_masks.func(self)
+            return SelfLoopGraph.neighbor_masks.fget(self)
 
     g = CountingGraph(order=4, edges=((0, 1), (1, 2), (2, 3)), loops=())
     assert is_connected(g) and is_connected(g) and g.connected
@@ -173,7 +173,8 @@ def test_is_connected_matches_edge_list_search():
 
 def test_graph_caches_only_the_bitmask_adjacency():
     # after the formula, trace and enumeration routes, the graph holds its
-    # hash and the one derived adjacency, nothing per route
+    # fields and its hash, nothing per route: the bitmask adjacency lives in
+    # the skeleton memo alone
     from loopwalks import enumerate_closed_walks, trace_power, walk_counts
     from loopwalks import walks
 
@@ -185,7 +186,44 @@ def test_graph_caches_only_the_bitmask_adjacency():
         trace_power(g, k)
         enumerate_closed_walks(g, k)
     derived = set(vars(g)) - {"order", "edges", "loops"}
-    assert derived == {"_hash", "neighbor_masks", "loop_mask", "degrees"}
+    assert derived == {"_hash"}
+
+
+_ROUTES_MEMORY = """
+import gc, tracemalloc
+from loopwalks import (enumerate_all_graphs, enumerate_closed_walks,
+                       trace_power, walk_counts)
+graphs = list(enumerate_all_graphs(4))
+gc.collect()
+tracemalloc.start()
+for g in graphs:
+    walk_counts(g)
+    for k in range(1, 5):
+        trace_power(g, k)
+        enumerate_closed_walks(g, k)
+gc.collect()
+print(len(graphs), tracemalloc.get_traced_memory()[0])
+"""
+
+
+def test_routes_grow_each_graph_by_less_than_a_dict():
+    # Python 3.11 keeps up to 4 attributes of a graph in place of a dict;
+    # a 5th, or a write through instance.__dict__, makes a dict of at
+    # least 64 B.  The routes store only the hash, 36 B.  A fresh process,
+    # because how much room a graph has depends on what its class stored
+    # before it was made.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", _ROUTES_MEMORY], env=env,
+                         capture_output=True, text=True, check=True, timeout=60)
+    graphs, grown = map(int, out.stdout.split())
+    assert graphs == 1024
+    assert grown / graphs < 64
 
 
 def _lazy_names():
@@ -201,7 +239,7 @@ def test_lazy_attributes_are_computed_once_per_graph():
     from loopwalks.graph_core import _lazy
 
     names = _lazy_names()
-    assert names == ["_hash", "connected", "degrees", "loop_mask", "neighbor_masks"]
+    assert names == ["_hash", "connected"]
     calls = []
 
     def counting(name):
@@ -222,7 +260,7 @@ def test_lazy_attributes_are_computed_once_per_graph():
             assert getattr(g, name) == getattr(plain, name)
         assert hash(g) == hash(plain)
     assert sorted(calls) == names
-    # later reads are the values stored in the instance dict
+    # later reads are the values stored on the instance
     assert all(vars(g)[name] is getattr(g, name) for name in names)
 
 
@@ -231,11 +269,17 @@ def test_lazy_attributes_stay_lazy_and_frozen():
 
     g = build(3, [(0, 1)], [2])
     assert set(vars(g)) == {"order", "edges", "loops"}
+    # the masks and degrees are read from the skeleton's memo entry and the
+    # loop mask from the loops, each time; none is stored on the graph
     assert g.degrees == (1, 1, 0)
-    # the degrees come from the skeleton's memo entry, not from the masks
-    assert set(vars(g)) == {"order", "edges", "loops", "degrees"}
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        g.degrees = (0, 0, 0)
+    assert g.neighbor_masks == (0b10, 0b01, 0)
+    assert g.loop_mask == 0b100
+    assert set(vars(g)) == {"order", "edges", "loops"}
+    assert not g.connected
+    assert set(vars(g)) == {"order", "edges", "loops", "connected"}
+    for name, value in (("degrees", (0, 0, 0)), ("connected", True)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(g, name, value)
 
 
 def test_class_access_returns_the_descriptor_with_its_docstring():
