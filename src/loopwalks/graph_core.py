@@ -24,30 +24,15 @@ which ``census`` keeps the counts it takes from the skeleton alone.  Key
 and values are stored as one tuple in one assignment, so no reader pairs
 one skeleton's key with another's values.
 
-A graph stores its three fields and, once hashed, ``_hash``; ``connected``
-is stored too once asked for, as a 5th attribute.  ``neighbor_masks`` and ``degrees`` are
-properties that read the memo entry, and ``loop_mask`` is computed from
-``loops`` on each read, O(sigma), so a caller reads each once into a
-local.  Nothing more is stored because of how CPython 3.11 lays out an
-instance: it keeps up to 4 attributes in place of a dict, if it was made
-before its class's shared keys grew, and a 5th attribute, or any read of
-``instance.__dict__``, turns that room into a real dict.  When each graph
-also kept its masks, degrees and loop mask, the 33,866 graphs of order
-1..5 grew from 3.57 MB to 12.80 MB over the formula, trace and
-enumeration routes (tracemalloc, fresh process), 273 B per graph, most
-of it the dict; holding only the hash, they grow to 4.77 MB, 36 B per
-graph.
-
-The cached attributes are ``_lazy`` descriptors, not
-``functools.cached_property``: on Python 3.11 that takes an RLock on every
-first read (3.12 dropped the lock), and it stores through
-``instance.__dict__``, which would materialize the dict.
+A graph is a slotted value with no ``__dict__``: ``__slots__`` names its
+three fields and two caches.  It caches only its hash and its connectivity
+answer, each in its slot on first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import DuplicateEdge, IndexOutOfRange, SelfPairInEdgeList
 
@@ -83,26 +68,6 @@ def _derive_skeleton(graph: SelfLoopGraph) -> tuple:
     return entry
 
 
-class _lazy:
-    """A lazily computed attribute: the first read of an instance stores the
-    value under the same name with ``object.__setattr__``, never through
-    ``instance.__dict__``, and later reads find it before this non-data
-    descriptor.  It takes no lock; graphs are immutable values, so a race
-    can only compute an equal value twice."""
-
-    def __init__(self, func: Callable):
-        self.func = func
-        self.name = func.__name__
-        self.__doc__ = func.__doc__
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        value = self.func(instance)
-        object.__setattr__(instance, self.name, value)
-        return value
-
-
 @dataclass(frozen=True)
 class SelfLoopGraph:
     """Immutable graph with loops attached at a vertex subset.
@@ -112,18 +77,25 @@ class SelfLoopGraph:
     of looped vertices.  The degree of a vertex counts proper edges only.
     """
 
+    __slots__ = ("order", "edges", "loops", "_hash", "_connected")
+
     order: int
     edges: tuple[tuple[int, int], ...]
     loops: tuple[int, ...]
 
     def __hash__(self) -> int:
-        return self._hash
-
-    @_lazy
-    def _hash(self) -> int:
         """The dataclass hash of the fields, computed once: the memos of
         the last graph hash it on every hit."""
-        return hash((self.order, self.edges, self.loops))
+        value = getattr(self, "_hash", None)
+        if value is None:
+            value = hash((self.order, self.edges, self.loops))
+            object.__setattr__(self, "_hash", value)
+        return value
+
+    def __reduce__(self):
+        # pickle and copy rebuild from the fields; restoring the cache slots
+        # would go through the frozen __setattr__
+        return type(self), (self.order, self.edges, self.loops)
 
     @property
     def size(self) -> int:
@@ -143,7 +115,8 @@ class SelfLoopGraph:
 
     @property
     def loop_mask(self) -> int:
-        """The looped vertices as a bitmask, computed on each read."""
+        """The looped vertices as a bitmask, computed on each read, O(sigma),
+        so a caller reads it once into a local."""
         mask = 0
         for v in self.loops:
             mask |= 1 << v
@@ -154,10 +127,14 @@ class SelfLoopGraph:
         """Popcounts of the neighbor masks, read like them."""
         return _skeleton(self)[3]
 
-    @_lazy
+    @property
     def connected(self) -> bool:
         """Breadth-first reachability over proper edges; loops never matter.
-        Each round ORs the masks of the frontier's vertices."""
+        Each round ORs the masks of the frontier's vertices.  The answer is
+        kept in the ``_connected`` slot on first read."""
+        value = getattr(self, "_connected", None)
+        if value is not None:
+            return value
         masks = self.neighbor_masks
         seen = frontier = 1
         while frontier:
@@ -168,7 +145,9 @@ class SelfLoopGraph:
                 reached |= masks[low.bit_length() - 1]
             frontier = reached & ~seen
             seen |= frontier
-        return seen == (1 << self.order) - 1
+        value = seen == (1 << self.order) - 1
+        object.__setattr__(self, "_connected", value)
+        return value
 
 
 def build(order: int,

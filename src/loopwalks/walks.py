@@ -93,16 +93,19 @@ def closed_form_w3(spec: FamilySpec) -> int:
 
 
 def closed_form_w4(spec: FamilySpec) -> int:
-    """Closed 4-walk count of a family, by arithmetic on the description alone."""
+    """Closed 4-walk count of a family, by arithmetic on the description alone.
+
+    K_n with sigma loops, placed anywhere by symmetry:
+    w4 = n(n-1)(2n-3) + n(n-1)(n-2)(n-3) + sigma(4n^2 - 8n + 3 + 2 sigma),
+    the loop-set split with d_v = n - 1, T(v) = C(n-1, 2), c4 = 3 C(n, 4)
+    and e(S) = C(sigma, 2).
+    """
     family = spec.family
     if family == "complete":
-        if spec.n < 4:
-            raise UnsupportedFamily("complete-graph closed form needs n >= 4")
-        if spec.sigma != 0:
-            raise InvalidLoopPlacement(
-                "complete-graph closed form covers the loopless case only")
         n = spec.n
-        return n * (n - 1) * (2 * n - 3) + n * (n - 1) * (n - 2) * (n - 3)
+        sigma = spec.sigma
+        return (n * (n - 1) * (2 * n - 3) + n * (n - 1) * (n - 2) * (n - 3)
+                + sigma * (4 * n * n - 8 * n + 3 + 2 * sigma))
     if family == "complete_bipartite":
         sigma_a, sigma_b = spec.part_loop_counts()
         return (sigma_a * (4 * spec.b + 1) + sigma_b * (4 * spec.a + 1)

@@ -171,6 +171,10 @@ def test_is_connected_matches_edge_list_search():
     assert outcomes.count(True) >= 100 and outcomes.count(False) >= 100
 
 
+def _filled_slots(g):
+    return {name for name in type(g).__slots__ if hasattr(g, name)}
+
+
 def test_graph_caches_only_the_bitmask_adjacency():
     # after the formula, trace and enumeration routes, the graph holds its
     # fields and its hash, nothing per route: the bitmask adjacency lives in
@@ -185,11 +189,11 @@ def test_graph_caches_only_the_bitmask_adjacency():
     for k in range(1, 5):
         trace_power(g, k)
         enumerate_closed_walks(g, k)
-    derived = set(vars(g)) - {"order", "edges", "loops"}
-    assert derived == {"_hash"}
+    assert _filled_slots(g) - {"order", "edges", "loops"} == {"_hash"}
 
 
-_ROUTES_MEMORY = """
+def _memory_script(reads):
+    return f"""
 import gc, tracemalloc
 from loopwalks import (enumerate_all_graphs, enumerate_closed_walks,
                        trace_power, walk_counts)
@@ -197,21 +201,21 @@ graphs = list(enumerate_all_graphs(4))
 gc.collect()
 tracemalloc.start()
 for g in graphs:
-    walk_counts(g)
-    for k in range(1, 5):
-        trace_power(g, k)
-        enumerate_closed_walks(g, k)
+{reads}
 gc.collect()
 print(len(graphs), tracemalloc.get_traced_memory()[0])
 """
 
 
-def test_routes_grow_each_graph_by_less_than_a_dict():
-    # Python 3.11 keeps up to 4 attributes of a graph in place of a dict;
-    # a 5th, or a write through instance.__dict__, makes a dict of at
-    # least 64 B.  The routes store only the hash, 36 B.  A fresh process,
-    # because how much room a graph has depends on what its class stored
-    # before it was made.
+_ROUTES = """\
+    walk_counts(g)
+    for k in range(1, 5):
+        trace_power(g, k)
+        enumerate_closed_walks(g, k)"""
+
+
+def _grown_per_graph(script):
+    # a fresh process, so no earlier test's graphs or memos are traced
     import os
     import subprocess
     import sys
@@ -219,78 +223,127 @@ def test_routes_grow_each_graph_by_less_than_a_dict():
 
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run([sys.executable, "-c", _ROUTES_MEMORY], env=env,
+    out = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, check=True, timeout=60)
     graphs, grown = map(int, out.stdout.split())
     assert graphs == 1024
-    assert grown / graphs < 64
+    return grown / graphs
 
 
-def _lazy_names():
-    from loopwalks import SelfLoopGraph
-    from loopwalks.graph_core import _lazy
+def test_routes_grow_each_graph_by_less_than_a_dict():
+    # a dict per graph would take at least 64 B; the routes store only the
+    # hash, 36 B, in its slot
+    assert _grown_per_graph(_memory_script(_ROUTES)) < 64
 
-    return sorted(name for name, value in vars(SelfLoopGraph).items()
-                  if isinstance(value, _lazy))
+
+def test_connectivity_grows_each_graph_by_less_than_a_dict():
+    # on top of the routes' hash, the answer is one of the two bool
+    # singletons, stored in its slot
+    routes = _grown_per_graph(_memory_script(_ROUTES))
+    both = _grown_per_graph(_memory_script(_ROUTES + "\n    g.connected"))
+    assert both - routes < 64
 
 
 def test_lazy_attributes_are_computed_once_per_graph():
     from loopwalks import SelfLoopGraph
-    from loopwalks.graph_core import _lazy
 
-    names = _lazy_names()
-    assert names == ["_hash", "connected"]
-    calls = []
+    searches = []
 
-    def counting(name):
-        func = vars(SelfLoopGraph)[name].func
+    class CountingGraph(SelfLoopGraph):
+        # each search reads the masks once, so reads count searches
+        @property
+        def neighbor_masks(self):
+            searches.append(self)
+            return SelfLoopGraph.neighbor_masks.fget(self)
 
-        def fill(self):
-            calls.append(name)
-            return func(self)
-        fill.__name__ = name
-        return _lazy(fill)
+    hashed = []
 
-    CountingGraph = type("CountingGraph", (SelfLoopGraph,),
-                         {name: counting(name) for name in names})
-    g = CountingGraph(order=4, edges=((0, 1), (1, 2), (2, 3)), loops=(1,))
+    class CountingPair(tuple):
+        def __hash__(self):
+            hashed.append(self)
+            return tuple.__hash__(self)
+
+    edges = (CountingPair((0, 1)), CountingPair((1, 2)), CountingPair((2, 3)))
+    g = CountingGraph(order=4, edges=edges, loops=(1,))
     plain = build(4, [(0, 1), (1, 2), (2, 3)], [1])
     for _ in range(3):
-        for name in names:
-            assert getattr(g, name) == getattr(plain, name)
+        assert g.connected == plain.connected
         assert hash(g) == hash(plain)
-    assert sorted(calls) == names
-    # later reads are the values stored on the instance
-    assert all(vars(g)[name] is getattr(g, name) for name in names)
+    assert len(searches) == 1 and len(hashed) == len(edges)
+    # later reads are the values stored in the slots
+    assert g._connected is g.connected and g._hash == hash(g)
 
 
 def test_lazy_attributes_stay_lazy_and_frozen():
     import dataclasses
+    from loopwalks import SelfLoopGraph
 
+    assert SelfLoopGraph.__slots__ == ("order", "edges", "loops", "_hash",
+                                       "_connected")
     g = build(3, [(0, 1)], [2])
-    assert set(vars(g)) == {"order", "edges", "loops"}
+    assert not hasattr(g, "__dict__")
+    assert _filled_slots(g) == {"order", "edges", "loops"}
     # the masks and degrees are read from the skeleton's memo entry and the
     # loop mask from the loops, each time; none is stored on the graph
     assert g.degrees == (1, 1, 0)
     assert g.neighbor_masks == (0b10, 0b01, 0)
     assert g.loop_mask == 0b100
-    assert set(vars(g)) == {"order", "edges", "loops"}
+    assert _filled_slots(g) == {"order", "edges", "loops"}
     assert not g.connected
-    assert set(vars(g)) == {"order", "edges", "loops", "connected"}
-    for name, value in (("degrees", (0, 0, 0)), ("connected", True)):
+    assert _filled_slots(g) == {"order", "edges", "loops", "_connected"}
+    for name, value in (("degrees", (0, 0, 0)), ("connected", True),
+                        ("_connected", True), ("order", 4)):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(g, name, value)
+    assert not g.connected
 
 
 def test_class_access_returns_the_descriptor_with_its_docstring():
     from loopwalks import SelfLoopGraph
-    from loopwalks.graph_core import _lazy
 
-    for name in _lazy_names():
-        descriptor = getattr(SelfLoopGraph, name)
-        assert isinstance(descriptor, _lazy) and descriptor.name == name
-        assert descriptor.__doc__ == descriptor.func.__doc__
+    assert isinstance(SelfLoopGraph.connected, property)
+    assert "Breadth-first reachability" in SelfLoopGraph.connected.__doc__
     assert "bitmasks" in SelfLoopGraph.neighbor_masks.__doc__
+
+
+def _value_cases():
+    fresh = build(5, [(0, 1), (1, 2), (3, 4)], [0, 4])
+    filled = build(4, [(0, 1), (1, 2), (2, 3)], [1, 2])
+    assert filled.connected and hash(filled)
+    return fresh, filled
+
+
+def test_graph_copies_and_pickles_as_a_value():
+    import copy
+    import pickle
+
+    for g in _value_cases():
+        copies = [pickle.loads(pickle.dumps(g, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        copies += [copy.copy(g), copy.deepcopy(g)]
+        for other in copies:
+            assert type(other) is type(g)
+            assert other == g and hash(other) == hash(g)
+            assert (other.order, other.edges, other.loops) == (g.order, g.edges, g.loops)
+            assert other.connected == g.connected
+
+
+def test_graph_dataclass_view_is_its_three_fields():
+    import dataclasses
+    from loopwalks import SelfLoopGraph
+
+    names = ["order", "edges", "loops"]
+    assert [f.name for f in dataclasses.fields(SelfLoopGraph)] == names
+    for g in _value_cases():
+        assert [f.name for f in dataclasses.fields(g)] == names
+        assert dataclasses.asdict(g) == {"order": g.order, "edges": g.edges,
+                                         "loops": g.loops}
+        assert dataclasses.astuple(g) == (g.order, g.edges, g.loops)
+        assert repr(g) == (f"SelfLoopGraph(order={g.order!r}, edges={g.edges!r}, "
+                           f"loops={g.loops!r})")
+        looped = dataclasses.replace(g, loops=())
+        assert looped == build(g.order, g.edges) and looped != g
+        assert dataclasses.replace(g) == g
 
 
 def test_loops_do_not_connect():

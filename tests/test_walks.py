@@ -131,11 +131,15 @@ def test_closed_w4_complete():
     assert closed_form_w4(FamilySpec.complete(5)) == 260
 
 
-def test_closed_w4_complete_rejects_loops():
-    with pytest.raises(InvalidLoopPlacement):
-        closed_form_w4(FamilySpec.complete(5, loops=(0,)))
-    with pytest.raises(UnsupportedFamily):
-        closed_form_w4(FamilySpec.complete(3))
+def test_closed_w4_complete_with_loops():
+    assert closed_form_w4(FamilySpec.complete(4, loops=(0, 1, 3))) == 207
+    one_loop = FamilySpec.complete(5, loops=(0,))
+    # a loop at a vertex of degree 4 in 6 triangles: 1 + 4 * 4 + 8 * 6 = 65
+    assert closed_form_w4(one_loop) == walk_counts(generate(one_loop)).w4 == 260 + 65
+    # K_1 with its loop, K_2 and K_3 are below the old n >= 4 floor
+    assert closed_form_w4(FamilySpec.complete(1, loops=(0,))) == 1
+    assert closed_form_w4(FamilySpec.complete(2)) == 2
+    assert closed_form_w4(FamilySpec.complete(3)) == 18
 
 
 def test_closed_w4_path_q1_q2():
